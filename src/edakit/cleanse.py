@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .stats import quantile_type7, sample_variance
+from .stats import _mode_smallest, quantile_type7, sample_variance
 from .table import (
     Column,
     Kind,
@@ -181,14 +181,6 @@ class LinearRegression:
 ImputeStrategy = Union[Mean, Median, Mode, Constant, LinearRegression]
 
 
-def _mode_fill(c: Column):
-    counts: dict = {}
-    for v in c.present_values():
-        counts[v] = counts.get(v, 0) + 1
-    best = max(counts.values())
-    return min(v for v, k in counts.items() if k == best)
-
-
 def impute(c: Column, strategy: ImputeStrategy, context: Optional[Table] = None) -> Column:
     """Fill every missing cell of a column; present cells are untouched.
 
@@ -209,7 +201,7 @@ def impute(c: Column, strategy: ImputeStrategy, context: Optional[Table] = None)
         values = numeric_values(c)
         fill = float(np.mean(values)) if isinstance(strategy, Mean) else quantile_type7(np.sort(values), 50)
     elif isinstance(strategy, Mode):
-        fill = _mode_fill(c)
+        fill = _mode_smallest(c.present_values())
     elif isinstance(strategy, Constant):
         fill = strategy.value
     elif isinstance(strategy, LinearRegression):
@@ -428,15 +420,12 @@ def bin_column(c: Column, spec: BinSpec) -> Column:
         raise ValueError(f"column {c.name!r} has no data to bin")
     lo, hi = float(np.min(values)), float(np.max(values))
 
+    if isinstance(spec, (EqualWidth, Quantile)) and lo == hi:
+        label = _bin_label(lo, hi, last=True)
+        return categorical_column(c.name, [None if m else label for m in c.missing])
     if isinstance(spec, EqualWidth):
-        if lo == hi:
-            label = _bin_label(lo, hi, last=True)
-            return categorical_column(c.name, [None if m else label for m in c.missing])
         edges = np.linspace(lo, hi, spec.n + 1)
     elif isinstance(spec, Quantile):
-        if lo == hi:
-            label = _bin_label(lo, hi, last=True)
-            return categorical_column(c.name, [None if m else label for m in c.missing])
         s = np.sort(values)
         raw = [quantile_type7(s, 100.0 * i / spec.n) for i in range(spec.n + 1)]
         edges = []

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,18 +28,8 @@ def _seed_default() -> int:
     return int(os.environ.get("EDA_SEED", DEFAULT_SEED))
 
 
-def _sanitize(obj):
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
-
-
 def _print_json(payload) -> None:
-    print(json.dumps(_sanitize(payload), indent=2))
+    print(json.dumps(stats._json_ready(payload), indent=2))
 
 
 def _load(path: str) -> table.Table:
@@ -63,7 +52,7 @@ def _numeric_matrix(t: table.Table, columns: Optional[Sequence[str]]) -> tuple[n
     for c in use:
         if c.null_count:
             raise ValueError(f"column {c.name!r} has {c.null_count} missing cells; impute first")
-    matrix = np.column_stack([[float(v) for v in c.values] for c in use])
+    matrix = np.column_stack([table.numeric_values(c) for c in use])
     return matrix, [c.name for c in use]
 
 
@@ -95,17 +84,18 @@ def _parse_impute(spec: str) -> tuple[str, cleanse.ImputeStrategy]:
     if "=" not in spec:
         raise ValueError(f"bad --impute {spec!r}; expected COL=STRATEGY")
     col, strat = spec.split("=", 1)
-    strat = strat.lower()
-    if strat in _IMPUTE_NAMES:
-        return col, _IMPUTE_NAMES[strat]
-    if strat.startswith("constant:"):
-        raw = strat.split(":", 1)[1]
+    # only the strategy keyword is case-insensitive; its argument is data
+    keyword, colon, arg = strat.partition(":")
+    keyword = keyword.lower()
+    if not colon and keyword in _IMPUTE_NAMES:
+        return col, _IMPUTE_NAMES[keyword]
+    if colon and keyword == "constant":
         try:
-            return col, cleanse.Constant(float(raw))
+            return col, cleanse.Constant(float(arg))
         except ValueError:
-            return col, cleanse.Constant(raw)
-    if strat.startswith("regress:"):
-        return col, cleanse.LinearRegression(strat.split(":", 1)[1])
+            return col, cleanse.Constant(arg)
+    if colon and keyword == "regress":
+        return col, cleanse.LinearRegression(arg)
     raise ValueError(f"unknown impute strategy {strat!r}")
 
 
@@ -188,7 +178,7 @@ def cmd_timeseries(args) -> int:
         raise ValueError(f"column {args.column!r} is not numeric")
     if c.null_count:
         raise ValueError(f"column {args.column!r} has missing cells; impute first")
-    s = timeseries.series([float(v) for v in c.values])
+    s = timeseries.series(table.numeric_values(c))
     op = args.op
     if op == "ma":
         out = {"op": op, "values": list(timeseries.moving_average(s, args.window).values)}

@@ -15,16 +15,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .pca import _validate_matrix
 from .rng import SplitMix64
-
-
-def _validate_data(data: np.ndarray) -> np.ndarray:
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("data must be a 2-D matrix")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("data contains missing or non-finite cells; impute first")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +74,7 @@ def kmeans(
     reassignment is reseeded to the point currently farthest from its own
     centroid.
     """
-    x = _validate_data(data)
+    x = _validate_matrix(data)
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside valid range 1..{n}")
@@ -177,7 +169,7 @@ def agglomerative(data: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendr
     toward the lexicographically smallest (a, b) cluster-id pair. Merge
     distances are non-decreasing for all three supported linkages.
     """
-    x = _validate_data(data)
+    x = _validate_matrix(data)
     n = x.shape[0]
     if n < 2:
         raise ValueError("agglomerative clustering needs >= 2 points")
@@ -271,7 +263,7 @@ def dbscan(data: np.ndarray, eps: float, min_pts: int) -> DbscanResult:
     borders by nearest core rather than by expansion order makes the
     induced partition invariant under row permutation.
     """
-    x = _validate_data(data)
+    x = _validate_matrix(data)
     if not eps > 0:
         raise ValueError("eps must be > 0")
     if min_pts < 1:
@@ -384,7 +376,7 @@ def gmm(
         ValueError: a component's weight collapses below 1e-12; use a larger
             ridge or a smaller k.
     """
-    x = _validate_data(data)
+    x = _validate_matrix(data)
     n, d = x.shape
     km = kmeans(x, k, seed)
     labels = np.array(km.labels)
@@ -441,7 +433,7 @@ def gmm_predict(model: GmmModel, data: np.ndarray) -> tuple[tuple[int, ...], np.
 
     Responsibility rows sum to 1.
     """
-    x = _validate_data(data)
+    x = _validate_matrix(data)
     if x.shape[1] != model.means.shape[1]:
         raise ValueError(
             f"data has {x.shape[1]} features, model expects {model.means.shape[1]}"

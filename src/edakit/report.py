@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
 from . import assoc, stats, table, viz
 from .table import FreqRow, FrequencyTable, Kind, Table
 
@@ -128,30 +130,6 @@ def _present_mean(c) -> float:
     return float(values.mean())
 
 
-def _numeric_counts(c) -> FrequencyTable:
-    """Counts of distinct values of an integer-valued numeric column,
-    ordered ascending by value (Tenure years)."""
-    counts: dict[float, int] = {}
-    for v in c.present_values():
-        counts[v] = counts.get(v, 0) + 1
-    total = sum(counts.values())
-    rows = [
-        FreqRow(f"{v:g}", counts[v], counts[v] / total) for v in sorted(counts)
-    ]
-    return FrequencyTable(tuple(rows))
-
-
-def _rate_by_label(group, flag) -> dict:
-    sums: dict[str, int] = {}
-    counts: dict[str, int] = {}
-    for g, gm, f, fm in zip(group.values, group.missing, flag.values, flag.missing):
-        if gm or fm:
-            continue
-        sums[g] = sums.get(g, 0) + f
-        counts[g] = counts.get(g, 0) + 1
-    return {label: sums[label] / counts[label] for label in sorted(counts)}
-
-
 def churn_pipeline(t: Table, evaluate_findings: Optional[bool] = None) -> ChurnReport:
     """Run the fixed churn analysis sequence and evaluate the findings.
 
@@ -206,25 +184,22 @@ def churn_pipeline(t: Table, evaluate_findings: Optional[bool] = None) -> ChurnR
         plots.append(("05_credit_age_scatter.svg", viz.plot_scatter(cs, age, "Credit score vs age")))
 
     def s7_tenure() -> None:
-        state["tenure"] = _numeric_counts(state["t"].column("Tenure"))
+        tenure = table.numeric_values(state["t"].column("Tenure"))
+        years, counts = np.unique(tenure, return_counts=True)  # ascending by value
+        total = int(counts.sum())
+        rows = (FreqRow(f"{y:g}", n, n / total) for y, n in zip(years.tolist(), counts.tolist()))
+        state["tenure"] = FrequencyTable(tuple(rows))
         plots.append(("06_tenure_bar.svg", viz.plot_bar(state["tenure"], "Customers by tenure")))
 
     def s8_geo_churn() -> None:
-        geo = state["t"].column("Geography")
-        exited = state["t"].column("Exited")
-        state["churn_by_geo"] = _rate_by_label(geo, exited)
-        # flattened grouped bar: stayed/exited counts per geography
-        pair_counts: dict[str, int] = {}
-        for g, gm, e, em in zip(geo.values, geo.missing, exited.values, exited.missing):
-            if gm or em:
-                continue
-            label = f"{g}/{'exited' if e else 'stayed'}"
-            pair_counts[label] = pair_counts.get(label, 0) + 1
-        total = sum(pair_counts.values())
-        rows = tuple(
-            FreqRow(label, pair_counts[label], pair_counts[label] / total)
-            for label in sorted(pair_counts)
-        )
+        ct = assoc.contingency(state["t"].column("Geography"), state["t"].column("Exited"))
+        by_geo = [(g, dict(zip(ct.col_labels, row))) for g, row in zip(ct.row_labels, ct.counts)]
+        state["churn_by_geo"] = {g: cells.get("1", 0) / sum(cells.values()) for g, cells in by_geo}
+        # flattened grouped bar: stayed/exited counts per geography, zero cells omitted
+        outcome = {"0": "stayed", "1": "exited"}
+        pairs = sorted((f"{g}/{outcome[e]}", k) for g, cells in by_geo for e, k in cells.items() if k)
+        total = ct.total
+        rows = tuple(FreqRow(label, k, k / total) for label, k in pairs)
         plots.append(
             ("07_churn_by_geography_bar.svg", viz.plot_bar(FrequencyTable(rows), "Churn by geography"))
         )
@@ -384,7 +359,7 @@ def render_report(
 
     json_path = out / "report.json"
     json_path.write_text(
-        json.dumps(_dejsonify_nan(r.to_json_dict()), indent=2) + "\n", encoding="utf-8"
+        json.dumps(stats._json_ready(r.to_json_dict()), indent=2) + "\n", encoding="utf-8"
     )
     written.append(json_path)
 
@@ -396,17 +371,6 @@ def render_report(
         doc_path.write_text(_render_html(r), encoding="utf-8")
     written.append(doc_path)
     return written
-
-
-def _dejsonify_nan(obj):
-    # json.dumps would emit bare NaN; use null instead
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _dejsonify_nan(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_dejsonify_nan(v) for v in obj]
-    return obj
 
 
 def _render_markdown(r: ChurnReport) -> str:

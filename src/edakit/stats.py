@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -62,12 +62,7 @@ class SummaryStats:
 
     def to_dict(self) -> dict:
         """JSON-ready dict; field names are a stable CLI contract."""
-        def clean(v):
-            if isinstance(v, float) and not math.isfinite(v):
-                return None
-            return v
-
-        return {
+        return _json_ready({
             "count": self.count,
             "n_missing": self.n_missing,
             "mean": self.mean,
@@ -81,11 +76,22 @@ class SummaryStats:
             "q1": self.q1,
             "q3": self.q3,
             "iqr": self.iqr,
-            "skew_pearson": clean(self.skew_pearson),
-            "skew_moment": clean(self.skew_moment),
-            "kurtosis_excess": clean(self.kurtosis_excess),
+            "skew_pearson": self.skew_pearson,
+            "skew_moment": self.skew_moment,
+            "kurtosis_excess": self.kurtosis_excess,
             "kurtosis_class": self.kurtosis_class.value if self.kurtosis_class else None,
-        }
+        })
+
+
+def _json_ready(obj):
+    """Copy of a dict/list/tuple tree with NaN/inf as None (JSON null)."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    return obj
 
 
 @dataclass(frozen=True)
@@ -154,10 +160,11 @@ def sample_variance(values: np.ndarray) -> float:
     return float(np.sum((values - mean) ** 2) / (n - 1))
 
 
-def _mode_smallest(values: np.ndarray) -> float:
-    counts: dict[float, int] = {}
+def _mode_smallest(values: Iterable):
+    """Most frequent value, smallest wins ties; equal keys (0.0, -0.0) keep the first seen."""
+    counts: dict = {}
     for v in values:
-        counts[float(v)] = counts.get(float(v), 0) + 1
+        counts[v] = counts.get(v, 0) + 1
     best = max(counts.values())
     return min(v for v, k in counts.items() if k == best)
 
@@ -262,7 +269,7 @@ def summarize(c: Column) -> SummaryStats:
         n_missing=c.null_count,
         mean=mean,
         median=median,
-        mode=_mode_smallest(values),
+        mode=_mode_smallest(values.tolist()),
         min=float(s[0]),
         max=float(s[-1]),
         range=float(s[-1] - s[0]),

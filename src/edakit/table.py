@@ -277,7 +277,7 @@ def _convert_cell(cell: str, kind: Kind, opts: CsvOptions):
 
 
 def read_csv(path: Union[str, Path], options: Optional[CsvOptions] = None) -> Table:
-    """Load a CSV file (RFC-4180 quoting, UTF-8) into a typed Table.
+    """Load a CSV file (RFC-4180 quoting, UTF-8, optional BOM) into a typed Table.
 
     The first row is taken as the header unless options say otherwise; empty
     and "NA" cells (configurable) become missing. Raises on a missing file,
@@ -286,7 +286,7 @@ def read_csv(path: Union[str, Path], options: Optional[CsvOptions] = None) -> Ta
     """
     opts = options or CsvOptions()
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=opts.delimiter)
         try:
             first = next(reader)
@@ -365,20 +365,22 @@ def write_csv(t: Table, path: Union[str, Path], options: Optional[CsvOptions] = 
         write_csv_to(t, fh, options)
 
 
-def drop_columns(t: Table, names: Sequence[str]) -> Table:
-    """Table without the named columns; unknown names raise, listing them."""
+def _check_known(t: Table, names: Sequence[str]) -> None:
     unknown = [n for n in names if not t.has_column(n)]
     if unknown:
         raise ValueError(f"unknown columns: {unknown}")
+
+
+def drop_columns(t: Table, names: Sequence[str]) -> Table:
+    """Table without the named columns; unknown names raise, listing them."""
+    _check_known(t, names)
     drop = set(names)
     return t.with_columns(c for c in t.columns if c.name not in drop)
 
 
 def select_columns(t: Table, names: Sequence[str]) -> Table:
     """Table restricted to the named columns, in the given order."""
-    unknown = [n for n in names if not t.has_column(n)]
-    if unknown:
-        raise ValueError(f"unknown columns: {unknown}")
+    _check_known(t, names)
     return t.with_columns(t.column(n) for n in names)
 
 

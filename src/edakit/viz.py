@@ -12,9 +12,9 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 from xml.sax.saxutils import escape, quoteattr
 
-from .assoc import CorrelationMatrix
+from .assoc import CorrelationMatrix, _joint_present
 from .stats import Histogram, SummaryStats
-from .table import Column, FrequencyTable, numeric_with_mask
+from .table import Column, FrequencyTable
 
 WIDTH = 800
 HEIGHT = 600
@@ -201,12 +201,7 @@ def plot_bar(f: FrequencyTable, title: str = "") -> SvgDoc:
 
 def plot_scatter(x: Column, y: Column, title: str = "") -> SvgDoc:
     """One marker per jointly present pair; axes autoscale with 5% padding."""
-    if len(x) != len(y):
-        raise ValueError(f"columns {x.name!r} and {y.name!r} have different lengths")
-    xv, xm = numeric_with_mask(x)
-    yv, ym = numeric_with_mask(y)
-    both = xm & ym
-    xs, ys = xv[both], yv[both]
+    xs, ys = _joint_present(x, y)
     if len(xs) == 0:
         raise ValueError("no jointly present pairs to plot")
     cv = _Canvas(title)

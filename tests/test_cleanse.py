@@ -152,6 +152,10 @@ class TestImpute:
         out = impute(categorical_column("g", ["b", "a", None]), Mode())
         assert out.values[2] == "a"
 
+    def test_mode_keeps_boolean_ints(self):
+        out = impute(boolean_column("b", [1, None, 0, 1]), Mode())
+        assert out.values == (1, 1, 0, 1) and type(out.values[1]) is int
+
     def test_constant_on_boolean(self):
         out = impute(boolean_column("b", [1, None]), Constant(0))
         assert out.values == (1, 0)

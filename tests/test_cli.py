@@ -78,6 +78,27 @@ class TestClean:
         assert code == 2
         assert "bogus" in err
 
+    def test_impute_regress_keeps_predictor_case(self, capsys, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("Age,EstimatedSalary\n10,1\n,2\n30,3\n", encoding="utf-8")
+        code, out, err = run(capsys, "clean", str(src), "--impute", "Age=regress:EstimatedSalary")
+        assert code == 0, err
+        assert out.splitlines()[2] == "20,2"
+
+    def test_impute_text_constant_keeps_case(self, capsys, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("Gender,Age\nFemale,1\n,2\nMale,3\n", encoding="utf-8")
+        code, out, err = run(capsys, "clean", str(src), "--impute", "Gender=constant:Male")
+        assert code == 0, err
+        assert out.splitlines()[2] == "Male,2"
+
+    def test_impute_keyword_case_insensitive(self, capsys, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("Age,Name\n30,a\n,b\n50,c\n", encoding="utf-8")
+        code, out, err = run(capsys, "clean", str(src), "--impute", "Age=MEAN")
+        assert code == 0, err
+        assert out.splitlines()[2] == "40,b"
+
 
 class TestCorr:
     def test_matrix_json(self, capsys, fixture_csv):

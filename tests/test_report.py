@@ -157,6 +157,24 @@ class TestPipeline:
         assert math.isclose(r.churn_rate, 0.25, rel_tol=1e-12)
 
 
+    def test_tenure_counts_are_plain_ints_ascending(self, fixture_table):
+        rows = churn_pipeline(fixture_table).tenure_counts.rows
+        assert all(type(row.count) is int for row in rows)
+        years = [float(row.label) for row in rows]
+        assert years == sorted(years)
+
+    def test_churn_by_geography_without_exits(self, fixture_table):
+        # no "1" column in the Geography x Exited table, one Geography cell missing
+        n = fixture_table.row_count
+        geo = fixture_table.column("Geography").values
+        t = fixture_table.replace_column(boolean_column("Exited", [0] * n))
+        t = t.replace_column(categorical_column("Geography", [None, *geo[1:]]))
+        r = churn_pipeline(t)
+        assert r.churn_by_geography == {g: 0.0 for g in sorted(set(geo[1:]))}
+        bar = dict(r.plots)["07_churn_by_geography_bar.svg"].body
+        assert "France/stayed" in bar and "exited" not in bar
+
+
 class TestRender:
     def test_markdown_references_exactly_written_svgs(self, fixture_table, tmp_path):
         r = churn_pipeline(fixture_table)

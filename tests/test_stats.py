@@ -16,7 +16,7 @@ from edakit.stats import (
     skewness,
     summarize,
 )
-from edakit.table import numeric_column
+from edakit.table import boolean_column, numeric_column
 
 from _oracles import (
     o_kurtosis_excess,
@@ -36,6 +36,14 @@ def col(values, name="v"):
 
 
 class TestSummarize:
+    def test_mode_of_boolean_column_is_float(self):
+        s = summarize(boolean_column("b", [1, 0, 1]))
+        assert s.mode == 1.0 and type(s.mode) is float
+
+    def test_mode_equal_floats_keep_first_seen(self):
+        assert math.copysign(1.0, summarize(col([-0.0, 0.0, 5.0])).mode) == -1.0
+        assert math.copysign(1.0, summarize(col([0.0, -0.0, 5.0])).mode) == 1.0
+
     def test_small_example(self):
         s = summarize(col([1, 2, 3, 4]))
         assert s.mean == 2.5

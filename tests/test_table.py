@@ -75,6 +75,14 @@ class TestReadCsv:
         t = read_csv(write_text(tmp_path, "a\nnan\n1\n"))
         assert t.column("a").kind is Kind.CATEGORICAL
 
+    def test_utf8_bom_is_stripped(self, tmp_path, fixture_csv):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + fixture_csv.read_bytes())
+        t = read_csv(bom)
+        plain = read_csv(fixture_csv)
+        assert t.column_names[0] == "RowNumber"
+        assert (t.row_count, t.columns) == (plain.row_count, plain.columns)
+
     def test_missing_file(self):
         with pytest.raises(OSError):
             read_csv("/no/such/file.csv")
