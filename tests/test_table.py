@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +16,8 @@ from edakit.table import (
     infer_schema,
     null_counts,
     numeric_column,
+    numeric_values,
+    numeric_with_mask,
     read_csv,
     select_columns,
     value_counts,
@@ -86,6 +89,88 @@ class TestReadCsv:
     def test_missing_file(self):
         with pytest.raises(OSError):
             read_csv("/no/such/file.csv")
+
+
+class TestReadCsvOptions:
+    def test_untrimmed_categorical_keeps_padding(self, tmp_path):
+        src = write_text(tmp_path, "a,b\n 1 , x\ny ,2\n, \n")
+        t = read_csv(src, CsvOptions(trim_whitespace=False))
+        assert t.column("a").kind is Kind.CATEGORICAL
+        assert t.column("a").values == (" 1 ", "y ", None)
+        assert t.column("b").values == (" x", "2", None)
+
+    def test_untrimmed_numeric_still_parses(self, tmp_path):
+        t = read_csv(write_text(tmp_path, "a\n 1.5\n2 \n"), CsvOptions(trim_whitespace=False))
+        assert t.column("a").kind is Kind.NUMERIC
+        assert t.column("a").values == (1.5, 2.0)
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [(None, ("Ab", "cD", None)), ("lower", ("ab", "cd", None)), ("upper", ("AB", "CD", None))],
+    )
+    def test_canonical_case(self, tmp_path, case, expected):
+        src = write_text(tmp_path, "g,n\n Ab ,1\ncD,0\nNA,1\n")
+        t = read_csv(src, CsvOptions(canonical_case=case))
+        assert t.column("g").values == expected
+        assert t.column("n").kind is Kind.BOOLEAN
+
+    def test_canonical_case_after_untrimmed(self, tmp_path):
+        src = write_text(tmp_path, "g\n Ab\n")
+        opts = CsvOptions(trim_whitespace=False, canonical_case="upper")
+        assert read_csv(src, opts).column("g").values == (" AB",)
+
+    def test_padded_mixed_case_missing_tokens(self, tmp_path):
+        src = write_text(tmp_path, "a,b\n  na ,x\n1,  Na\n N/A ,n/a\n")
+        t = read_csv(src)
+        assert t.column("a").missing == (True, False, False)
+        assert t.column("a").kind is Kind.CATEGORICAL
+        t = read_csv(src, CsvOptions(missing_tokens=(" N/a", "na")))
+        assert t.column("a").missing == (True, False, True)
+        assert t.column("a").kind is Kind.NUMERIC
+        assert t.column("b").values == ("x", None, None)
+
+    def test_configured_boolean_with_only_ones(self, tmp_path):
+        src = write_text(tmp_path, "f,g\n1,1\n1,1\n,1\n")
+        t = read_csv(src, CsvOptions(boolean_columns=("f",)))
+        assert t.column("f").kind is Kind.BOOLEAN
+        assert t.column("f").values == (1, 1, None)
+        assert t.column("g").kind is Kind.NUMERIC
+        assert t.column("g").values == (1.0, 1.0, 1.0)
+
+    def test_all_missing_column_is_categorical(self, tmp_path):
+        t = read_csv(write_text(tmp_path, "a,b\n,1\nNA,2\n na,3\n"))
+        c = t.column("a")
+        assert c.kind is Kind.CATEGORICAL
+        assert c.values == (None, None, None)
+        assert c.null_count == 3
+
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            CsvOptions(),
+            CsvOptions(boolean_columns=("f",), canonical_case="lower"),
+            CsvOptions(trim_whitespace=False, missing_tokens=("NA", "", "-")),
+        ],
+    )
+    def test_infer_schema_matches_read_csv(self, tmp_path, opts):
+        header = ["n", "f", "g", "e", "x"]
+        rows = [
+            ["1.5", "1", " Fr ", "", "x"],
+            ["-", "1", "es", "NA", "2"],
+            [" 2e3 ", "", "NA", " na ", "inf"],
+            ["nan", "1", "-", "", "0"],
+        ]
+        text = "\n".join(",".join(r) for r in [header] + rows) + "\n"
+        t = read_csv(write_text(tmp_path, text), opts)
+        cols = [[r[j] for r in rows] for j in range(len(header))]
+        assert infer_schema(header, cols, opts) == null_counts(t)
+
+    def test_numeric_with_mask_on_boolean(self):
+        vals, mask = numeric_with_mask(boolean_column("b", [0, None, 1]))
+        assert vals.dtype == np.float64
+        assert vals[0] == 0.0 and math.isnan(vals[1]) and vals[2] == 1.0
+        assert mask.tolist() == [True, False, True]
+        assert numeric_values(boolean_column("b", [0, None, 1])).tolist() == [0.0, 1.0]
 
 
 class TestInferSchema:
