@@ -4,6 +4,10 @@ A Table is an immutable ordered collection of typed columns of equal length.
 Cells are plain Python values (floats for numeric, strings for categorical,
 0/1 ints for boolean) with ``None`` marking a missing cell; the ``missing``
 mask mirrors the ``None`` positions so per-column null accounting is cheap.
+
+``read_csv`` and ``infer_schema`` share one column builder that strips, tests
+for missing and parses each CSV cell once; the parse that types a column also
+yields its values.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ class CsvOptions:
         has_header: Whether the first row names the columns. When False,
             columns are named ``col0``, ``col1``, ...
         missing_tokens: Cell texts treated as missing, compared after
-            stripping surrounding whitespace, case-insensitively.
+            stripping surrounding whitespace, case-insensitively. The first is
+            written for missing cells; write_csv refuses text that matches one.
         boolean_columns: Column names that should be typed Boolean whenever
             all their cells are "0"/"1", even if only one of the two values
             occurs.
@@ -55,9 +60,6 @@ class CsvOptions:
 
     def _missing_set(self) -> frozenset[str]:
         return frozenset(t.strip().casefold() for t in self.missing_tokens)
-
-    def is_missing(self, cell: str) -> bool:
-        return cell.strip().casefold() in self._missing_set()
 
 
 @dataclass(frozen=True)
@@ -124,18 +126,17 @@ def boolean_column(name: str, cells: Sequence[Optional[int]]) -> Column:
 
 def numeric_values(c: Column) -> np.ndarray:
     """Present cells of a numeric or boolean column as a float array."""
-    if c.kind is Kind.CATEGORICAL:
-        raise ValueError(f"column {c.name!r} is categorical, not numeric")
-    return np.array([v for v, m in zip(c.values, c.missing) if not m], dtype=float)
+    vals, mask = numeric_with_mask(c)
+    return vals[mask]
 
 
 def numeric_with_mask(c: Column) -> tuple[np.ndarray, np.ndarray]:
     """Full-length float array (NaN at missing cells) plus a present mask."""
     if c.kind is Kind.CATEGORICAL:
         raise ValueError(f"column {c.name!r} is categorical, not numeric")
-    mask = np.array([not m for m in c.missing], dtype=bool)
-    vals = np.array([float("nan") if m else float(v) for v, m in zip(c.values, c.missing)])
-    return vals, mask
+    # numpy turns None into NaN; present cells are finite (Column checks it)
+    vals = np.array(c.values, dtype=float)
+    return vals, ~np.isnan(vals)
 
 
 @dataclass(frozen=True)
@@ -221,11 +222,35 @@ class FrequencyTable:
         ]
 
 
-def _parses_as_finite_real(cell: str) -> bool:
+def _finite_reals(cells: list[str], distinct: set[str]) -> Optional[list[float]]:
+    """``cells`` as floats, or None unless each is an ASCII, "_"-free finite real."""
+    joined = "".join(distinct)
+    if not joined.isascii() or "_" in joined:
+        return None
     try:
-        return math.isfinite(float(cell))
+        values = [float(s) for s in cells]
     except ValueError:
-        return False
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _typed_column(name: str, cells: Sequence[str], opts: CsvOptions, missing_set: frozenset) -> Column:
+    """Type one raw text column by the rules of :func:`infer_schema`."""
+    stripped = [c.strip() for c in cells]
+    missing = tuple(s.casefold() in missing_set for s in stripped)
+    present = [s for s, m in zip(stripped, missing) if not m]
+    distinct = set(present)
+    if distinct and distinct <= {"0", "1"} and (name in opts.boolean_columns or len(distinct) == 2):
+        kind, parsed = Kind.BOOLEAN, [int(s) for s in present]
+    elif distinct and (parsed := _finite_reals(present, distinct)) is not None:
+        kind = Kind.NUMERIC
+    else:
+        kind = Kind.CATEGORICAL
+        parsed = present if opts.trim_whitespace else [c for c, m in zip(cells, missing) if not m]
+        if opts.canonical_case:
+            parsed = list(map(getattr(str, opts.canonical_case), parsed))
+    it = iter(parsed)
+    return Column(name, kind, tuple(None if m else next(it) for m in missing), missing)
 
 
 def infer_schema(
@@ -238,42 +263,18 @@ def infer_schema(
     Rules, applied to the non-missing cells of each column:
       * Boolean when every cell is "0" or "1" AND either the column name is
         configured in ``options.boolean_columns`` or both values occur.
-      * Otherwise Numeric when every cell parses as a finite real.
+      * Otherwise Numeric when every cell is a finite real in ASCII: sign,
+        digits, point and exponent ("-2.5", ".5", "1e3"). "1_000", non-ASCII
+        digits, "inf", "nan" and overflows to infinity are not numeric.
       * Otherwise Categorical. Columns with no non-missing cells are
         Categorical (nothing to go on).
 
     The classification is a pure function of the input bytes and options.
     """
     opts = options or CsvOptions()
-    entries = []
-    for name, cells in zip(names, raw_columns):
-        present = [c.strip() for c in cells if not opts.is_missing(c)]
-        nulls = len(cells) - len(present)
-        if not present:
-            entries.append(SchemaEntry(name, Kind.CATEGORICAL, nulls))
-            continue
-        distinct = set(present)
-        if distinct <= {"0", "1"} and (name in opts.boolean_columns or distinct == {"0", "1"}):
-            kind = Kind.BOOLEAN
-        elif all(_parses_as_finite_real(c) for c in present):
-            kind = Kind.NUMERIC
-        else:
-            kind = Kind.CATEGORICAL
-        entries.append(SchemaEntry(name, kind, nulls))
-    return Schema(tuple(entries))
-
-
-def _convert_cell(cell: str, kind: Kind, opts: CsvOptions):
-    if kind is Kind.NUMERIC:
-        return float(cell.strip())
-    if kind is Kind.BOOLEAN:
-        return int(cell.strip())
-    value = cell.strip() if opts.trim_whitespace else cell
-    if opts.canonical_case == "lower":
-        value = value.lower()
-    elif opts.canonical_case == "upper":
-        value = value.upper()
-    return value
+    missing_set = opts._missing_set()
+    columns = (_typed_column(n, cells, opts, missing_set) for n, cells in zip(names, raw_columns))
+    return Schema(tuple(SchemaEntry(c.name, c.kind, c.null_count) for c in columns))
 
 
 def read_csv(path: Union[str, Path], options: Optional[CsvOptions] = None) -> Table:
@@ -311,21 +312,12 @@ def read_csv(path: Union[str, Path], options: Optional[CsvOptions] = None) -> Ta
                 )
             rows.append(row)
 
-    raw_cols = [[row[j] for row in rows] for j in range(n_cols)]
-    schema = infer_schema(names, raw_cols, opts)
-    columns = []
-    for entry, cells in zip(schema.entries, raw_cols):
-        values = []
-        mask = []
-        for cell in cells:
-            if opts.is_missing(cell):
-                values.append(None)
-                mask.append(True)
-            else:
-                values.append(_convert_cell(cell, entry.kind, opts))
-                mask.append(False)
-        columns.append(Column(entry.name, entry.kind, tuple(values), tuple(mask)))
-    return Table(path.stem, tuple(columns), len(rows))
+    missing_set = opts._missing_set()
+    columns = tuple(
+        _typed_column(name, [row[j] for row in rows], opts, missing_set)
+        for j, name in enumerate(names)
+    )
+    return Table(path.stem, columns, len(rows))
 
 
 def _format_numeric(v: float) -> str:
@@ -339,9 +331,16 @@ def write_csv_to(t: Table, fh, options: Optional[CsvOptions] = None) -> None:
     """Write CSV text for a Table to an open text stream.
 
     Missing cells are written as the first configured missing token.
-    Lines end with "\\n" for stable bytes across platforms.
+    Lines end with "\\n" for stable bytes across platforms. Raises, before
+    writing anything, on a categorical value that reads back as missing.
     """
     opts = options or CsvOptions()
+    missing_set = opts._missing_set()
+    for c in t.columns:
+        if c.kind is Kind.CATEGORICAL:
+            bad = sorted(v for v in set(c.values) - {None} if v.strip().casefold() in missing_set)
+            if bad:
+                raise ValueError(f"column {c.name!r}: values {bad} would read back as missing")
     missing_token = opts.missing_tokens[0] if opts.missing_tokens else ""
     writer = csv.writer(fh, delimiter=opts.delimiter, lineterminator="\n")
     writer.writerow([c.name for c in t.columns])

@@ -92,6 +92,14 @@ class TestClean:
         assert code == 0, err
         assert out.splitlines()[2] == "Male,2"
 
+    def test_impute_constant_missing_token_is_refused(self, capsys, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("Gender,Age\nFemale,1\n,2\n", encoding="utf-8")
+        code, out, err = run(capsys, "clean", str(src), "--impute", "Gender=constant:NA")
+        assert code == 2
+        assert out == ""
+        assert "'Gender'" in err and "missing" in err
+
     def test_impute_keyword_case_insensitive(self, capsys, tmp_path):
         src = tmp_path / "in.csv"
         src.write_text("Age,Name\n30,a\n,b\n50,c\n", encoding="utf-8")

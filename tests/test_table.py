@@ -165,6 +165,8 @@ class TestReadCsvOptions:
         cols = [[r[j] for r in rows] for j in range(len(header))]
         assert infer_schema(header, cols, opts) == null_counts(t)
 
+
+class TestNumericArrays:
     def test_numeric_with_mask_on_boolean(self):
         vals, mask = numeric_with_mask(boolean_column("b", [0, None, 1]))
         assert vals.dtype == np.float64
@@ -190,6 +192,21 @@ class TestInferSchema:
         assert infer_schema(["c"], [["0", "0"]]).entries[0].kind is Kind.NUMERIC
         opts = CsvOptions(boolean_columns=("c",))
         assert infer_schema(["c"], [["0", "0"]], opts).entries[0].kind is Kind.BOOLEAN
+
+    @pytest.mark.parametrize(
+        "cells",
+        [["1_000", "2"], ["\uff11\uff12", "3"], ["\u0663", "1"], ["inf", "1"], ["1e400"], ["-nan"]],
+    )
+    def test_numeric_grammar_rejects(self, cells):
+        assert infer_schema(["c"], [cells]).entries[0].kind is Kind.CATEGORICAL
+
+    def test_numeric_grammar_accepts(self):
+        cells = ["7", "-2.5", "+.5", "5.", "1e3", "-1E-3"]
+        assert infer_schema(["c"], [cells]).entries[0].kind is Kind.NUMERIC
+
+    def test_underscored_cells_read_as_text(self, tmp_path):
+        c = read_csv(write_text(tmp_path, "a\n1_000\n2\n")).column("a")
+        assert (c.kind, c.values) == (Kind.CATEGORICAL, ("1_000", "2"))
 
     def test_deterministic(self):
         cols = [["1", "x", "2"], ["0", "1", ""]]
@@ -372,6 +389,20 @@ class TestRoundTrip:
         write_csv(t1, out)
         t2 = read_csv(out)
         assert t1.columns == t2.columns
+
+    @pytest.mark.parametrize("label", ["NA", " na ", "Na"])
+    def test_write_rejects_label_that_reads_as_missing(self, tmp_path, label):
+        t = Table("t", (categorical_column("g", [label, "x", label]),), 3)
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=r"'g'.*'%s'" % label):
+            write_csv(t, out)
+        assert out.read_text() == ""
+
+    def test_write_checks_configured_missing_tokens(self, tmp_path):
+        t = Table("t", (categorical_column("g", ["-", "NA"]),), 2)
+        write_csv(t, tmp_path / "ok.csv", CsvOptions(missing_tokens=("",)))
+        with pytest.raises(ValueError, match="'-'"):
+            write_csv(t, tmp_path / "bad.csv", CsvOptions(missing_tokens=("", " - ")))
 
     def test_read_is_deterministic(self, tmp_path):
         src = write_text(tmp_path, "a,b\n1,x\n2,y\n")
