@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Regenerate data/churn_fixture.csv, a 200-row synthetic table matching the
-bank-churn schema (all 14 attributes). Values are drawn from the package's
-seeded generator, so the file is reproducible byte for byte.
+bank-churn schema (all 14 attributes), and data/churn_fixture_blanks.csv, the
+same table with some cells missing. Values are drawn from the package's
+seeded generator, so both files are reproducible byte for byte.
 
 The fixture exercises the pipeline and CLI; it is NOT the real dataset, and
 dataset-level findings stay NOT-EVALUATED on it by default.
 
-Usage: python scripts/make_fixture.py [OUT_CSV]
+Usage: python scripts/make_fixture.py [OUT_CSV [BLANKS_CSV]]
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from edakit.rng import SplitMix64
 from edakit.table import (
+    Kind,
     Table,
     boolean_column,
     categorical_column,
@@ -27,6 +29,12 @@ from edakit.table import (
 
 SEED = 20240  # fixed fixture seed
 N = 200
+
+# Blanked cells come from a stream of their own, so blanking never shifts the
+# fixture draws.
+BLANK_SEED = 20241
+BLANK_SHARE = 0.05
+BLANK_COLUMNS = ("Age", "Balance", "HasCrCard", "Geography")
 
 SURNAMES = [
     "Smith", "Garcia", "Mueller", "Rossi", "Dubois", "Tanaka", "Novak",
@@ -83,11 +91,35 @@ def build_fixture() -> Table:
     return Table("churn_fixture", columns, N)
 
 
+def blank_cells(t: Table, share: float = BLANK_SHARE, seed: int = BLANK_SEED) -> Table:
+    """Copy of ``t`` with about ``share`` of the cells of BLANK_COLUMNS missing.
+
+    Balance stays present wherever Age is missing, so ``Balance=regress:Age``
+    can fill every Balance gap.
+    """
+    build = {Kind.NUMERIC: numeric_column, Kind.CATEGORICAL: categorical_column,
+             Kind.BOOLEAN: boolean_column}
+    rng = SplitMix64(seed)
+    for name in BLANK_COLUMNS:
+        c = t.column(name)
+        age = t.column("Age").values
+        cells = [
+            None if rng.random() < share and not (name == "Balance" and age[i] is None) else v
+            for i, v in enumerate(c.values)
+        ]
+        t = t.replace_column(build[c.kind](name, cells))
+    return t
+
+
 def main() -> int:
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent / "data" / "churn_fixture.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(build_fixture(), out)
-    print(f"wrote {out}")
+    data = Path(__file__).resolve().parent.parent / "data"
+    out = Path(sys.argv[1]) if len(sys.argv) > 1 else data / "churn_fixture.csv"
+    blanks = Path(sys.argv[2]) if len(sys.argv) > 2 else data / "churn_fixture_blanks.csv"
+    t = build_fixture()
+    for path, table in ((out, t), (blanks, blank_cells(t))):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_csv(table, path)
+        print(f"wrote {path}")
     return 0
 
 

@@ -1,8 +1,9 @@
-"""Golden byte snapshots of the ``eda`` CLI on the committed fixture.
+"""Golden byte snapshots of the ``eda`` CLI on the committed fixtures.
 
 Each case runs one ``eda`` command in-process against
-``data/churn_fixture.csv`` and compares its stdout and every file it writes
-with ``tests/golden/<case>/``, byte for byte. Refactors must leave these
+``data/churn_fixture.csv`` or its copy with missing cells,
+``data/churn_fixture_blanks.csv``, and compares its stdout and every file it
+writes with ``tests/golden/<case>/``, byte for byte. Refactors must leave these
 bytes alone. A change that alters output on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -25,12 +26,13 @@ from edakit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "data" / "churn_fixture.csv"
+BLANKS = ROOT / "data" / "churn_fixture_blanks.csv"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 NUMERIC_SUBSET = "CreditScore,Age,Tenure,Balance,NumOfProducts,EstimatedSalary"
 
-# case name -> argv; "{csv}" is the fixture, "{out}" a path in the case's
-# output directory. Stdout is kept as "stdout" next to the written files.
+# case name -> argv; "{csv}" is the fixture, "{blanks}" the fixture with
+# missing cells, "{out}" a path in the case's output directory. Stdout is kept as "stdout" next to the written files.
 CASES: dict[str, list[str]] = {
     "churn_markdown": ["churn-report", "{csv}", "--out", "{out}", "--format", "markdown"],
     "churn_html": ["churn-report", "{csv}", "--out", "{out}", "--format", "html"],
@@ -81,13 +83,29 @@ CASES: dict[str, list[str]] = {
         "plot", "{csv}", "--kind", "heatmap", "--method", "spearman",
         "--out", "{out}/heatmap.svg",
     ],
+    # missing cells: null counts, pairwise deletion, imputation
+    "blanks_describe_schema": ["describe", "{blanks}"],
+    "blanks_describe_column_age": ["describe", "{blanks}", "--column", "Age"],
+    "blanks_churn_markdown": ["churn-report", "{blanks}", "--out", "{out}", "--format", "markdown"],
+    "blanks_corr_pearson": ["corr", "{blanks}", "--method", "pearson", "--columns", NUMERIC_SUBSET],
+    "blanks_corr_spearman": ["corr", "{blanks}", "--method", "spearman", "--columns", NUMERIC_SUBSET],
+    "blanks_corr_kendall": ["corr", "{blanks}", "--method", "kendall", "--columns", NUMERIC_SUBSET],
+    "blanks_plot_scatter": [
+        "plot", "{blanks}", "--kind", "scatter", "--x", "Age", "--y", "Balance",
+        "--out", "{out}/scatter.svg",
+    ],
+    "blanks_clean_impute": [
+        "clean", "{blanks}", "--impute", "Age=median", "--impute", "Balance=regress:Age",
+        "--impute", "HasCrCard=mode", "--impute", "Geography=constant:Unknown",
+        "--clip-outliers", "CreditScore", "--encode", "Geography=onehot",
+    ],
 }
 
 
 def run_case(name: str, out_dir: Path) -> dict[str, bytes]:
     """Run one case into out_dir; return {relative path: bytes}, stdout included."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    argv = [a.format(csv=FIXTURE, out=out_dir) for a in CASES[name]]
+    argv = [a.format(csv=FIXTURE, blanks=BLANKS, out=out_dir) for a in CASES[name]]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
