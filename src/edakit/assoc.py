@@ -197,8 +197,8 @@ def contingency(a: Column, b: Column) -> ContingencyTable:
             raise ValueError(f"column {c.name!r} is numeric; bin it first")
     pairs = [
         (str(av), str(bv))
-        for av, am, bv, bm in zip(a.values, a.missing, b.values, b.missing)
-        if not am and not bm
+        for av, bv in zip(a.values, b.values)
+        if av is not None and bv is not None
     ]
     row_labels = sorted({p[0] for p in pairs})
     col_labels = sorted({p[1] for p in pairs})

@@ -111,8 +111,8 @@ def detect_outliers(c: Column, method: OutlierMethod) -> OutlierReport:
         raise TypeError(f"unsupported outlier method: {method!r}")
     flagged = tuple(
         i
-        for i, (v, m) in enumerate(zip(c.values, c.missing))
-        if not m and (v < lower or v > upper)
+        for i, v in enumerate(c.values)
+        if v is not None and (v < lower or v > upper)
     )
     return OutlierReport(c.name, method, flagged, (lower, upper), len(c))
 
@@ -135,8 +135,8 @@ def handle_outliers(
     if action is OutlierAction.CLIP:
         lower, upper = report.bounds
         values = [
-            None if m else (min(max(v, lower), upper) if i in flagged else v)
-            for i, (v, m) in enumerate(zip(c.values, c.missing))
+            None if v is None else (min(max(v, lower), upper) if i in flagged else v)
+            for i, v in enumerate(c.values)
         ]
         return numeric_column(c.name, values)
     if action is OutlierAction.FLAG:
@@ -189,7 +189,7 @@ def impute(c: Column, strategy: ImputeStrategy, context: Optional[Table] = None)
     type-matching value. A column with no present values rejects every
     statistical strategy.
     """
-    if not any(c.missing):
+    if None not in c.values:
         return c
     n_present = len(c) - c.null_count
     if n_present == 0 and not isinstance(strategy, Constant):
@@ -213,7 +213,7 @@ def impute(c: Column, strategy: ImputeStrategy, context: Optional[Table] = None)
     else:
         raise TypeError(f"unsupported strategy: {strategy!r}")
 
-    new_values = [fill if m else v for v, m in zip(c.values, c.missing)]
+    new_values = [fill if v is None else v for v in c.values]
     return _rebuild(c, new_values)
 
 
@@ -228,16 +228,18 @@ def _rebuild(c: Column, cells: Sequence) -> Column:
 def _impute_regression(target: Column, predictor: Column) -> Column:
     if predictor.kind is not Kind.NUMERIC:
         raise ValueError(f"predictor {predictor.name!r} must be numeric")
-    for i, m in enumerate(target.missing):
-        if m and predictor.missing[i]:
-            raise ValueError(
-                f"predictor {predictor.name!r} is missing at row {i} where "
-                f"{target.name!r} needs imputing"
-            )
-    xs = [predictor.values[i] for i in range(len(target))
-          if not target.missing[i] and not predictor.missing[i]]
-    ys = [target.values[i] for i in range(len(target))
-          if not target.missing[i] and not predictor.missing[i]]
+    pairs = tuple(zip(predictor.values, target.values))
+    xs, ys = [], []
+    for i, (xv, yv) in enumerate(pairs):
+        if yv is None:
+            if xv is None:
+                raise ValueError(
+                    f"predictor {predictor.name!r} is missing at row {i} where "
+                    f"{target.name!r} needs imputing"
+                )
+        elif xv is not None:
+            xs.append(xv)
+            ys.append(yv)
     if len(xs) < 2:
         raise ValueError("regression imputation needs >= 2 jointly present rows")
     x = np.array(xs)
@@ -247,11 +249,7 @@ def _impute_regression(target: Column, predictor: Column) -> Column:
         raise ValueError(f"predictor {predictor.name!r} is constant; OLS slope undefined")
     b = float(np.sum((x - x.mean()) * (y - y.mean()))) / sxx
     a = float(y.mean()) - b * float(x.mean())
-    new_values = [
-        a + b * predictor.values[i] if target.missing[i] else target.values[i]
-        for i in range(len(target))
-    ]
-    return numeric_column(target.name, new_values)
+    return numeric_column(target.name, [a + b * xv if yv is None else yv for xv, yv in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +292,13 @@ def transform(c: Column, kind: TransformKind) -> Column:
         raise ValueError(f"column {c.name!r} has no data")
 
     if isinstance(kind, Log):
-        for i, (v, m) in enumerate(zip(c.values, c.missing)):
-            if not m and v <= 0:
+        for i, v in enumerate(c.values):
+            if v is not None and v <= 0:
                 raise ValueError(f"column {c.name!r} row {i}: log of non-positive value {v}")
         f = math.log
     elif isinstance(kind, Sqrt):
-        for i, (v, m) in enumerate(zip(c.values, c.missing)):
-            if not m and v < 0:
+        for i, v in enumerate(c.values):
+            if v is not None and v < 0:
                 raise ValueError(f"column {c.name!r} row {i}: sqrt of negative value {v}")
         f = math.sqrt
     elif isinstance(kind, MinMax):
@@ -318,7 +316,7 @@ def transform(c: Column, kind: TransformKind) -> Column:
     else:
         raise TypeError(f"unsupported transform: {kind!r}")
 
-    return numeric_column(c.name, [None if m else f(v) for v, m in zip(c.values, c.missing)])
+    return numeric_column(c.name, [None if v is None else f(v) for v in c.values])
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +343,14 @@ def encode(t: Table, column: str, kind: EncodeKind) -> Table:
 
     if kind is EncodeKind.LABEL:
         code = {label: float(i) for i, label in enumerate(labels)}
-        new = numeric_column(column, [None if m else code[v] for v, m in zip(c.values, c.missing)])
+        new = numeric_column(column, [None if v is None else code[v] for v in c.values])
         return t.replace_column(new)
 
     if kind is EncodeKind.ONE_HOT:
         generated = [
             boolean_column(
                 f"{column}={label}",
-                [None if m else int(v == label) for v, m in zip(c.values, c.missing)],
+                [None if v is None else int(v == label) for v in c.values],
             )
             for label in labels
         ]
@@ -422,7 +420,7 @@ def bin_column(c: Column, spec: BinSpec) -> Column:
 
     if isinstance(spec, (EqualWidth, Quantile)) and lo == hi:
         label = _bin_label(lo, hi, last=True)
-        return categorical_column(c.name, [None if m else label for m in c.missing])
+        return categorical_column(c.name, [None if v is None else label for v in c.values])
     if isinstance(spec, EqualWidth):
         edges = np.linspace(lo, hi, spec.n + 1)
     elif isinstance(spec, Quantile):
@@ -448,9 +446,7 @@ def bin_column(c: Column, spec: BinSpec) -> Column:
         i = int(np.searchsorted(edges, v, side="right")) - 1
         return labels[min(max(i, 0), n_bins - 1)]
 
-    return categorical_column(
-        c.name, [None if m else assign(v) for v, m in zip(c.values, c.missing)]
-    )
+    return categorical_column(c.name, [None if v is None else assign(v) for v in c.values])
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +482,8 @@ def engineer(t: Table, specs: Sequence[FeatureSpec]) -> Table:
                     raise ValueError(f"column {col.name!r} is not numeric")
             name = f"{spec.a}*{spec.b}"
             cells = [
-                None if (ma or mb) else va * vb
-                for va, ma, vb, mb in zip(ca.values, ca.missing, cb.values, cb.missing)
+                None if va is None or vb is None else va * vb
+                for va, vb in zip(ca.values, cb.values)
             ]
         elif isinstance(spec, Power):
             ca = t.column(spec.a)
@@ -495,8 +491,8 @@ def engineer(t: Table, specs: Sequence[FeatureSpec]) -> Table:
                 raise ValueError(f"column {ca.name!r} is not numeric")
             name = f"{spec.a}^{spec.k:g}"
             cells = [
-                None if m else _checked_pow(v, spec.k, name, i)
-                for i, (v, m) in enumerate(zip(ca.values, ca.missing))
+                None if v is None else _checked_pow(v, spec.k, name, i)
+                for i, v in enumerate(ca.values)
             ]
         else:
             raise TypeError(f"unsupported feature spec: {spec!r}")

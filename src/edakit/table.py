@@ -2,8 +2,7 @@
 
 A Table is an immutable ordered collection of typed columns of equal length.
 Cells are plain Python values (floats for numeric, strings for categorical,
-0/1 ints for boolean) with ``None`` marking a missing cell; the ``missing``
-mask mirrors the ``None`` positions so per-column null accounting is cheap.
+0/1 ints for boolean); ``None`` is the one marker of a missing cell.
 
 ``read_csv`` and ``infer_schema`` share one column builder that strips, tests
 for missing and parses each CSV cell once; the parse that types a column also
@@ -15,7 +14,8 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -69,20 +69,13 @@ class Column:
     name: str
     kind: Kind
     values: tuple
-    missing: tuple[bool, ...]
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("column name must be non-empty")
-        if len(self.values) != len(self.missing):
-            raise ValueError(f"column {self.name!r}: values/missing length mismatch")
-        for i, (v, m) in enumerate(zip(self.values, self.missing)):
-            if m:
-                if v is not None:
-                    raise ValueError(f"column {self.name!r} row {i}: missing cell must hold None")
-                continue
+        for i, v in enumerate(self.values):
             if v is None:
-                raise ValueError(f"column {self.name!r} row {i}: present cell is None")
+                continue
             if self.kind is Kind.NUMERIC:
                 if not isinstance(v, float) or not math.isfinite(v):
                     raise ValueError(f"column {self.name!r} row {i}: numeric cell must be a finite float")
@@ -97,31 +90,30 @@ class Column:
         return len(self.values)
 
     @property
+    def missing(self) -> tuple[bool, ...]:
+        """Per-row missing flags, derived from ``values``."""
+        return tuple(v is None for v in self.values)
+
+    @property
     def null_count(self) -> int:
-        return sum(self.missing)
+        return self.values.count(None)
 
     def present_values(self) -> list:
-        """Cell values where the missing mask is False, in row order."""
-        return [v for v, m in zip(self.values, self.missing) if not m]
-
-    def rename(self, name: str) -> "Column":
-        return Column(name, self.kind, self.values, self.missing)
+        """Non-missing cell values, in row order."""
+        return [v for v in self.values if v is not None]
 
 
 def numeric_column(name: str, cells: Sequence[Optional[float]]) -> Column:
     """Build a Numeric column; None entries become missing cells."""
-    values = tuple(None if v is None else float(v) for v in cells)
-    return Column(name, Kind.NUMERIC, values, tuple(v is None for v in cells))
+    return Column(name, Kind.NUMERIC, tuple(None if v is None else float(v) for v in cells))
 
 
 def categorical_column(name: str, cells: Sequence[Optional[str]]) -> Column:
-    values = tuple(None if v is None else str(v) for v in cells)
-    return Column(name, Kind.CATEGORICAL, values, tuple(v is None for v in cells))
+    return Column(name, Kind.CATEGORICAL, tuple(None if v is None else str(v) for v in cells))
 
 
 def boolean_column(name: str, cells: Sequence[Optional[int]]) -> Column:
-    values = tuple(None if v is None else int(v) for v in cells)
-    return Column(name, Kind.BOOLEAN, values, tuple(v is None for v in cells))
+    return Column(name, Kind.BOOLEAN, tuple(None if v is None else int(v) for v in cells))
 
 
 def numeric_values(c: Column) -> np.ndarray:
@@ -236,9 +228,9 @@ def _finite_reals(cells: list[str], distinct: set[str]) -> Optional[list[float]]
 
 def _typed_column(name: str, cells: Sequence[str], opts: CsvOptions, missing_set: frozenset) -> Column:
     """Type one raw text column by the rules of :func:`infer_schema`."""
-    stripped = [c.strip() for c in cells]
-    missing = tuple(s.casefold() in missing_set for s in stripped)
-    present = [s for s, m in zip(stripped, missing) if not m]
+    # each stripped cell, or None where it is a missing token
+    marked = [None if s.casefold() in missing_set else s for s in (c.strip() for c in cells)]
+    present = [s for s in marked if s is not None]
     distinct = set(present)
     if distinct and distinct <= {"0", "1"} and (name in opts.boolean_columns or len(distinct) == 2):
         kind, parsed = Kind.BOOLEAN, [int(s) for s in present]
@@ -246,11 +238,11 @@ def _typed_column(name: str, cells: Sequence[str], opts: CsvOptions, missing_set
         kind = Kind.NUMERIC
     else:
         kind = Kind.CATEGORICAL
-        parsed = present if opts.trim_whitespace else [c for c, m in zip(cells, missing) if not m]
+        parsed = present if opts.trim_whitespace else [c for c, s in zip(cells, marked) if s is not None]
         if opts.canonical_case:
             parsed = list(map(getattr(str, opts.canonical_case), parsed))
     it = iter(parsed)
-    return Column(name, kind, tuple(None if m else next(it) for m in missing), missing)
+    return Column(name, kind, tuple(None if s is None else next(it) for s in marked))
 
 
 def infer_schema(
@@ -347,19 +339,30 @@ def write_csv_to(t: Table, fh, options: Optional[CsvOptions] = None) -> None:
     for i in range(t.row_count):
         row = []
         for c in t.columns:
-            if c.missing[i]:
+            v = c.values[i]
+            if v is None:
                 row.append(missing_token)
             elif c.kind is Kind.NUMERIC:
-                row.append(_format_numeric(c.values[i]))
+                row.append(_format_numeric(v))
             elif c.kind is Kind.BOOLEAN:
-                row.append(str(c.values[i]))
+                row.append(str(v))
             else:
-                row.append(c.values[i])
+                row.append(v)
         writer.writerow(row)
 
 
 def write_csv(t: Table, path: Union[str, Path], options: Optional[CsvOptions] = None) -> None:
-    """Write a Table to a CSV file so that read_csv round-trips it."""
+    """Write a Table to a CSV file.
+
+    ``read_csv`` gives back the same columns only where inference types each
+    column's written text as it was typed and the read options leave its
+    labels alone. It does not for a categorical column whose labels all read
+    as numbers or as 0/1 (``["1", "2"]`` reads back numeric), labels with
+    surrounding whitespace or case that the options trim or fold (``" x"``
+    reads back ``"x"``), a boolean column holding only one of 0 and 1 and not
+    named in ``boolean_columns`` (numeric), a numeric column holding exactly
+    0 and 1 (boolean), or an all-missing column (categorical).
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         write_csv_to(t, fh, options)
 
@@ -388,15 +391,7 @@ def filter_rows(t: Table, keep: Sequence[bool]) -> Table:
     if len(keep) != t.row_count:
         raise ValueError(f"mask length {len(keep)} != row count {t.row_count}")
     idx = [i for i, k in enumerate(keep) if k]
-    cols = tuple(
-        Column(
-            c.name,
-            c.kind,
-            tuple(c.values[i] for i in idx),
-            tuple(c.missing[i] for i in idx),
-        )
-        for c in t.columns
-    )
+    cols = tuple(Column(c.name, c.kind, tuple(c.values[i] for i in idx)) for c in t.columns)
     return Table(t.name, cols, len(idx))
 
 
@@ -417,12 +412,7 @@ def value_counts(c: Column) -> FrequencyTable:
             f"column {c.name!r} is numeric; value_counts is for categorical/boolean "
             "columns, use a histogram instead"
         )
-    counts: dict[str, int] = {}
-    for v, m in zip(c.values, c.missing):
-        if m:
-            continue
-        label = str(v)
-        counts[label] = counts.get(label, 0) + 1
+    counts = Counter(str(v) for v in c.values if v is not None)
     total = sum(counts.values())
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return FrequencyTable(tuple(FreqRow(k, n, n / total) for k, n in ordered))

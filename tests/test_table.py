@@ -298,21 +298,28 @@ class TestValueCounts:
 
 
 class TestColumnInvariants:
-    def test_numeric_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Column("a", Kind.NUMERIC, (float("nan"),), (False,))
-
-    def test_categorical_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Column("a", Kind.CATEGORICAL, ("",), (False,))
-
-    def test_boolean_rejects_two(self):
-        with pytest.raises(ValueError):
-            Column("a", Kind.BOOLEAN, (2,), (False,))
-
-    def test_mask_value_consistency(self):
-        with pytest.raises(ValueError):
-            Column("a", Kind.NUMERIC, (1.0,), (True,))
+    @pytest.mark.parametrize(
+        "kind, good, bad",
+        [
+            (Kind.NUMERIC, 1.0, float("nan")),
+            (Kind.NUMERIC, 1.0, float("inf")),
+            (Kind.NUMERIC, 1.0, float("-inf")),
+            (Kind.NUMERIC, 1.0, 1),
+            (Kind.BOOLEAN, 1, True),
+            (Kind.BOOLEAN, 1, 2),
+            (Kind.BOOLEAN, 1, 1.0),
+            (Kind.CATEGORICAL, "x", ""),
+            (Kind.CATEGORICAL, "x", 1),
+        ],
+        ids=[
+            "numeric-nan", "numeric-inf", "numeric-neg-inf", "numeric-int",
+            "boolean-true", "boolean-two", "boolean-float",
+            "categorical-empty", "categorical-int",
+        ],
+    )
+    def test_rejects_bad_cell_with_its_row(self, kind, good, bad):
+        with pytest.raises(ValueError, match="row 1"):
+            Column("a", kind, (good, bad))
 
     def test_table_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="duplicate"):
