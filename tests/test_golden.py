@@ -32,7 +32,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 NUMERIC_SUBSET = "CreditScore,Age,Tenure,Balance,NumOfProducts,EstimatedSalary"
 
 # case name -> argv; "{csv}" is the fixture, "{blanks}" the fixture with
-# missing cells, "{out}" a path in the case's output directory. Stdout is kept as "stdout" next to the written files.
+# missing cells, "{out}" a path in the case's output directory. Stdout is
+# kept as "stdout" next to the written files.
 CASES: dict[str, list[str]] = {
     "churn_markdown": ["churn-report", "{csv}", "--out", "{out}", "--format", "markdown"],
     "churn_html": ["churn-report", "{csv}", "--out", "{out}", "--format", "html"],
