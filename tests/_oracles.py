@@ -120,3 +120,41 @@ def o_outlier_scan(values, missing, lower, upper):
         for i, (v, m) in enumerate(zip(values, missing))
         if not m and (v < lower or v > upper)
     ]
+
+
+def o_agglomerative(points, linkage):
+    """Merges (a, b, distance, size) of Lance-Williams agglomerative clustering.
+
+    points is a list of coordinate tuples; linkage is "single", "complete"
+    or "average". Distances between live clusters sit in a dict keyed by
+    (a, b) with a < b; the closest pair merges, ties going to the smallest
+    (a, b), and the i-th merge creates cluster n + i.
+    """
+    n = len(points)
+    dist = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            dist[(a, b)] = math.sqrt(sum((p - q) ** 2 for p, q in zip(points[a], points[b])))
+    size = {i: 1 for i in range(n)}
+    merges = []
+    for step in range(n - 1):
+        dmin = min(dist.values())
+        a, b = min(pair for pair, d in dist.items() if d == dmin)
+        new, new_size = n + step, size[a] + size[b]
+        merges.append((a, b, dmin, new_size))
+        for c in size:
+            if c in (a, b):
+                continue
+            da = dist.pop((min(a, c), max(a, c)))
+            db = dist.pop((min(b, c), max(b, c)))
+            if linkage == "single":
+                dn = min(da, db)
+            elif linkage == "complete":
+                dn = max(da, db)
+            else:
+                dn = (size[a] * da + size[b] * db) / new_size
+            dist[(c, new)] = dn
+        del dist[(a, b)]
+        del size[a], size[b]
+        size[new] = new_size
+    return merges

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from edakit.assoc import (
     CorrMethod,
+    average_ranks,
     contingency,
     correlation_matrix,
     covariance,
@@ -15,9 +16,11 @@ from edakit.assoc import (
     point_biserial,
     spearman,
 )
-from edakit.table import Table, boolean_column, categorical_column, numeric_column
+from edakit.table import Table, boolean_column, categorical_column, numeric_column, read_csv
 
 from _oracles import o_average_ranks, o_kendall_tau_b, o_pearson, o_variance
+
+from conftest import ROOT
 
 
 def ncol(values, name="v"):
@@ -100,6 +103,23 @@ class TestSpearman:
         got = spearman(ncol(xs), ncol(ys))
         want = o_pearson(o_average_ranks(xs), o_average_ranks(ys))
         assert math.isclose(got, want, abs_tol=1e-12)
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [2.0, 2.0, 2.0, 2.0],
+            [3.0, -1.0, 2.5, 0.0, 7.0],
+            [5.0],
+            [0.0, -0.0, 1.0],
+            [float(v) for v in np.random.default_rng(4).integers(0, 5, 60)],
+        ],
+        ids=["all_tied", "no_ties", "one_element", "signed_zeros", "heavy_ties"],
+    )
+    def test_matches_oracle_bytes(self, xs):
+        want = np.array(o_average_ranks(xs), dtype=float)
+        assert average_ranks(np.array(xs)).tobytes() == want.tobytes()
 
 
 class TestKendall:
@@ -265,6 +285,34 @@ class TestCorrelationMatrix:
         ):
             m = correlation_matrix(t, method)
             assert m.values[0][1] == fn(cols[0], cols[1])
+
+    @pytest.mark.parametrize("method, fn", [
+        (CorrMethod.PEARSON, pearson),
+        (CorrMethod.SPEARMAN, spearman),
+        (CorrMethod.KENDALL, kendall_tau),
+    ])
+    def test_every_cell_is_the_pairwise_call(self, method, fn):
+        small = Table(
+            "t",
+            (
+                ncol([1, 2, 3, 4, 5, 6], "x"),
+                ncol([7, 7, 7, 7, 7, 7], "const"),
+                ncol([None, None, 3, None, None, None], "single"),
+                ncol([2, None, 1, 8, 8, 4], "gappy"),
+                boolean_column("b", [0, 1, None, 1, 0, 1]),
+            ),
+            6,
+        )
+        for t in (read_csv(ROOT / "data" / "churn_fixture_blanks.csv"), small):
+            m = correlation_matrix(t, method)
+            cols = [t.column(name) for name in m.labels]
+            for i, x in enumerate(cols):
+                for j, y in enumerate(cols):
+                    try:
+                        want = fn(x, y)
+                    except ValueError:
+                        want = None
+                    assert m.values[i][j] == want, (x.name, y.name)
 
     def test_boolean_columns_participate(self):
         t = Table(

@@ -100,6 +100,21 @@ class TestClean:
         assert out == ""
         assert "'Gender'" in err and "missing" in err
 
+    def test_impute_specs_apply_left_to_right(self, capsys, tmp_path):
+        # row 2 misses both Age and Balance: a regress: fit sees Age's filled
+        # cell only when Age was imputed by an earlier --impute
+        src = tmp_path / "in.csv"
+        src.write_text("Age,Balance\n10,100\n20,\n,\n40,400\n", encoding="utf-8")
+        code, out, err = run(capsys, "clean", str(src),
+                             "--impute", "Balance=regress:Age", "--impute", "Age=median")
+        assert code == 2
+        assert out == ""
+        assert "'Age' is missing at row 2" in err
+        code, out, err = run(capsys, "clean", str(src),
+                             "--impute", "Age=median", "--impute", "Balance=regress:Age")
+        assert code == 0, err
+        assert out.splitlines()[3] == "20,200"
+
     def test_impute_keyword_case_insensitive(self, capsys, tmp_path):
         src = tmp_path / "in.csv"
         src.write_text("Age,Name\n30,a\n,b\n50,c\n", encoding="utf-8")

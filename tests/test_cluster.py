@@ -13,6 +13,8 @@ from edakit.cluster import (
     kmeans,
 )
 
+from _oracles import o_agglomerative
+
 
 def blobs(seed, centers, n_per=20, spread=0.3):
     rng = np.random.default_rng(seed)
@@ -133,6 +135,19 @@ class TestAgglomerative:
         # three points with two equal nearest distances: (0,1) and (1,2)
         d = agglomerative(np.array([[0.0], [1.0], [2.0]]), Linkage.SINGLE)
         assert (d.merges[0].cluster_a, d.merges[0].cluster_b) == (0, 1)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("linkage", list(Linkage))
+    def test_matches_lance_williams_oracle_under_ties(self, linkage, dims):
+        # integer coordinates on a small grid: every starting distance is
+        # exact and ties (also between merged clusters) are common, so the
+        # merge tuples must match the oracle exactly
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 41))
+            data = rng.integers(0, int(rng.integers(2, 7)), (n, dims)).astype(float)
+            got = [tuple(m) for m in agglomerative(data, linkage).merges]
+            assert got == o_agglomerative([tuple(p) for p in data.tolist()], linkage.value)
 
 
 class TestDbscan:
