@@ -70,8 +70,11 @@ class ContingencyTable:
 def _joint_present(x: Column, y: Column) -> tuple[np.ndarray, np.ndarray]:
     if len(x) != len(y):
         raise ValueError(f"columns {x.name!r} and {y.name!r} have different lengths")
-    xv, xm = numeric_with_mask(x)
-    yv, ym = numeric_with_mask(y)
+    return _present_pairs(*numeric_with_mask(x), *numeric_with_mask(y))
+
+
+def _present_pairs(xv, xm, yv, ym) -> tuple[np.ndarray, np.ndarray]:
+    """xv and yv at the rows where both masks xm and ym are set."""
     both = xm & ym
     return xv[both], yv[both]
 
@@ -101,40 +104,30 @@ def _pearson_arrays(a: np.ndarray, b: np.ndarray) -> float:
 
 def pearson(x: Column, y: Column) -> float:
     """Pearson's r over jointly present pairs, clamped to [-1, 1]."""
-    a, b = _joint_present(x, y)
-    return _pearson_arrays(a, b)
+    return _pearson_arrays(*_joint_present(x, y))
 
 
 def average_ranks(a: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties replaced by their mean rank."""
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(len(a), dtype=float)
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True, equal_nan=False)
+    # a run of `count` equal values after `start` smaller ones holds ranks
+    # start+1 .. start+count, whose mean is start + (count + 1) / 2
+    starts = np.cumsum(counts) - counts
+    return (starts + (counts + 1) / 2)[inverse]
 
 
-def spearman(x: Column, y: Column) -> float:
-    """Spearman's rho: Pearson correlation of average-ranked values."""
-    a, b = _joint_present(x, y)
+def _spearman_arrays(a: np.ndarray, b: np.ndarray) -> float:
     if len(a) < 2:
         raise ValueError("correlation needs >= 2 jointly present pairs")
     return _pearson_arrays(average_ranks(a), average_ranks(b))
 
 
-def kendall_tau(x: Column, y: Column) -> float:
-    """Kendall's tau-b with tie correction.
+def spearman(x: Column, y: Column) -> float:
+    """Spearman's rho: Pearson correlation of average-ranked values."""
+    return _spearman_arrays(*_joint_present(x, y))
 
-    (C - D) / sqrt((n0 - n1)(n0 - n2)) where n0 = n(n-1)/2 and n1/n2 count
-    tied pairs in each variable. Pair enumeration is O(n^2), one row of the
-    pair matrix at a time, which is fine at desk scale.
-    """
-    a, b = _joint_present(x, y)
+
+def _kendall_arrays(a: np.ndarray, b: np.ndarray) -> float:
     n = len(a)
     if n < 2:
         raise ValueError("kendall tau needs >= 2 jointly present pairs")
@@ -152,6 +145,16 @@ def kendall_tau(x: Column, y: Column) -> float:
         raise ValueError("kendall tau undefined: a variable is entirely tied")
     denom = math.sqrt((n0 - ties_x) * (n0 - ties_y))
     return concordant_minus_discordant / denom
+
+
+def kendall_tau(x: Column, y: Column) -> float:
+    """Kendall's tau-b with tie correction.
+
+    (C - D) / sqrt((n0 - n1)(n0 - n2)) where n0 = n(n-1)/2 and n1/n2 count
+    tied pairs in each variable. Pair enumeration is O(n^2), one row of the
+    pair matrix at a time, which is fine at desk scale.
+    """
+    return _kendall_arrays(*_joint_present(x, y))
 
 
 def point_biserial(b: Column, y: Column) -> float:
@@ -212,10 +215,10 @@ def contingency(a: Column, b: Column) -> ContingencyTable:
     )
 
 
-_PAIRWISE = {
-    CorrMethod.PEARSON: pearson,
-    CorrMethod.SPEARMAN: spearman,
-    CorrMethod.KENDALL: kendall_tau,
+_KERNELS = {
+    CorrMethod.PEARSON: _pearson_arrays,
+    CorrMethod.SPEARMAN: _spearman_arrays,
+    CorrMethod.KENDALL: _kendall_arrays,
 }
 
 
@@ -228,13 +231,14 @@ def correlation_matrix(t: Table, method: CorrMethod = CorrMethod.PEARSON) -> Cor
     eligible = [c for c in t.columns if c.kind in (Kind.NUMERIC, Kind.BOOLEAN)]
     if len(eligible) < 2:
         raise ValueError("correlation matrix needs >= 2 numeric/boolean columns")
-    fn = _PAIRWISE[method]
+    kernel = _KERNELS[method]
+    arrays = [numeric_with_mask(c) for c in eligible]
     k = len(eligible)
     values: list[list[Optional[float]]] = [[None] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
             try:
-                r: Optional[float] = fn(eligible[i], eligible[j])
+                r: Optional[float] = kernel(*_present_pairs(*arrays[i], *arrays[j]))
             except ValueError:
                 r = None
             values[i][j] = r

@@ -165,57 +165,48 @@ class Dendrogram:
 def agglomerative(data: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrogram:
     """Bottom-up clustering with Lance-Williams distance updates.
 
-    At each step the closest active pair merges; equal distances break
-    toward the lexicographically smallest (a, b) cluster-id pair. Merge
-    distances are non-decreasing for all three supported linkages.
+    At each step the closest pair of live clusters merges; equal distances
+    break toward the lexicographically smallest (a, b) cluster-id pair.
+    Merge distances are non-decreasing for all three supported linkages.
+
+    Cost: one n x n float64 distance matrix (8 n^2 bytes) and one scan of
+    all n^2 cells per merge, O(n^3) time in all.
     """
     x = _validate_matrix(data)
     n = x.shape[0]
     if n < 2:
         raise ValueError("agglomerative clustering needs >= 2 points")
 
-    # slot arrays indexed 0..n-1; each active slot carries one live cluster
+    # slot s holds one live cluster; a retired slot's row and column are
+    # +inf, as is the diagonal, so neither can hold the minimum
     dist = np.sqrt(_sq_distances(x, x))
     np.fill_diagonal(dist, np.inf)
-    active = list(range(n))
-    cluster_id = list(range(n))
-    size = [1] * n
+    cluster_id = np.arange(n)
+    size = np.ones(n, dtype=int)
 
     merges: list[Merge] = []
     for step in range(n - 1):
-        slots = np.array(active)
-        sub = dist[np.ix_(slots, slots)]
-        iu, ju = np.triu_indices(len(slots), k=1)
-        vals = sub[iu, ju]
-        dmin = float(vals.min())
-        best = None
-        for pos in np.flatnonzero(vals == dmin):
-            si, sj = int(slots[iu[pos]]), int(slots[ju[pos]])
-            ids = (
-                min(cluster_id[si], cluster_id[sj]),
-                max(cluster_id[si], cluster_id[sj]),
-            )
-            if best is None or ids < best[0]:
-                best = (ids, si, sj)
-        ids, si, sj = best
+        dmin = dist.min()
+        rows, cols = np.divmod(np.flatnonzero(dist == dmin), n)
+        ids_a = np.minimum(cluster_id[rows], cluster_id[cols])
+        ids_b = np.maximum(cluster_id[rows], cluster_id[cols])
+        best = np.lexsort((ids_b, ids_a))[0]
+        si, sj = rows[best], cols[best]
         new_size = size[si] + size[sj]
-        merges.append(Merge(ids[0], ids[1], dmin, new_size))
+        merges.append(Merge(int(ids_a[best]), int(ids_b[best]), float(dmin), int(new_size)))
 
-        # Lance-Williams update of distances to the merged cluster
-        for sk in active:
-            if sk in (si, sj):
-                continue
-            dik, djk = dist[si, sk], dist[sj, sk]
-            if linkage is Linkage.SINGLE:
-                dn = min(dik, djk)
-            elif linkage is Linkage.COMPLETE:
-                dn = max(dik, djk)
-            else:
-                dn = (size[si] * dik + size[sj] * djk) / new_size
-            dist[si, sk] = dist[sk, si] = dn
+        # Lance-Williams update: the merged cluster takes over slot si
+        if linkage is Linkage.SINGLE:
+            row = np.minimum(dist[si], dist[sj])
+        elif linkage is Linkage.COMPLETE:
+            row = np.maximum(dist[si], dist[sj])
+        else:
+            row = (size[si] * dist[si] + size[sj] * dist[sj]) / new_size
+        row[si] = np.inf
+        dist[si] = dist[:, si] = row
+        dist[sj] = dist[:, sj] = np.inf
         cluster_id[si] = n + step
         size[si] = new_size
-        active.remove(sj)
     return Dendrogram(tuple(merges), linkage, n)
 
 
@@ -262,6 +253,9 @@ def dbscan(data: np.ndarray, eps: float, min_pts: int) -> DbscanResult:
     the lowest cluster id); everything else is noise (-1). Assigning
     borders by nearest core rather than by expansion order makes the
     induced partition invariant under row permutation.
+
+    The neighbor lists hold every pair within eps, so their memory grows
+    with density, up to n^2 indices when eps spans the data.
     """
     x = _validate_matrix(data)
     if not eps > 0:
@@ -280,32 +274,25 @@ def dbscan(data: np.ndarray, eps: float, min_pts: int) -> DbscanResult:
 
     labels = np.full(n, -1, dtype=int)
     cluster = -1
-    for i in range(n):
-        if not is_core[i] or labels[i] != -1:
+    for i in np.flatnonzero(is_core):
+        if labels[i] != -1:
             continue
         cluster += 1
-        queue = [i]
         labels[i] = cluster
-        qi = 0
-        while qi < len(queue):
-            j = queue[qi]
-            qi += 1
-            for m in neighbor_lists[j]:
-                if is_core[m] and labels[m] == -1:
-                    labels[m] = cluster
-                    queue.append(int(m))
+        stack = [i]
+        while stack:
+            nb = neighbor_lists[stack.pop()]
+            grown = nb[is_core[nb] & (labels[nb] == -1)]
+            labels[grown] = cluster
+            stack.extend(grown)
 
-    for i in range(n):
-        if is_core[i]:
-            continue
-        core_nbrs = [int(m) for m in neighbor_lists[i] if is_core[m]]
-        if not core_nbrs:
+    for i in np.flatnonzero(~is_core):
+        nb = neighbor_lists[i]
+        core_nbrs = nb[is_core[nb]]
+        if len(core_nbrs) == 0:
             continue
         d2 = np.sum((x[core_nbrs] - x[i]) ** 2, axis=1)
-        best = min(
-            (float(d2[t]), int(labels[core_nbrs[t]])) for t in range(len(core_nbrs))
-        )
-        labels[i] = best[1]
+        labels[i] = labels[core_nbrs[d2 == d2.min()]].min()
     return DbscanResult(tuple(int(v) for v in labels), eps, min_pts)
 
 
