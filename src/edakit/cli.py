@@ -277,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("csv")
     p.add_argument("--drop", help="comma-separated columns to drop")
     p.add_argument("--impute", action="append", metavar="COL=STRATEGY",
-                   help="mean|median|mode|constant:VALUE|regress:PREDICTOR")
+                   help="mean|median|mode|constant:VALUE|regress:PREDICTOR; repeatable, "
+                        "applied left to right, so a regress: fit sees predictor cells "
+                        "filled by an earlier --impute")
     p.add_argument("--clip-outliers", action="append", metavar="COL[:K]",
                    help="clip IQR outliers (default k=1.5)")
     p.add_argument("--encode", action="append", metavar="COL=KIND", help="onehot|label")
