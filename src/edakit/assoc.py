@@ -127,32 +127,62 @@ def spearman(x: Column, y: Column) -> float:
     return _spearman_arrays(*_joint_present(x, y))
 
 
+def _tied_pairs(counts: np.ndarray) -> int:
+    """Pairs within the tie groups of sizes ``counts``."""
+    return int(np.sum(counts * (counts - 1))) // 2
+
+
+def _inversions(r: np.ndarray) -> int:
+    """Pairs i < j with r[i] > r[j], counted by a bottom-up merge.
+
+    At width w the positions form blocks of 2w, each a left and a right half
+    of w. Sorting by (block, rank, left before right) puts before each left
+    element exactly the right elements of its block with a smaller rank; the
+    block * w right elements of the earlier blocks come first. Each pair is
+    counted once, at the width where its two positions first share a block.
+    """
+    pos = np.arange(len(r))
+    total = 0
+    width = 1
+    while width < len(r):
+        block = pos // (2 * width)
+        right = (pos // width) & 1
+        order = np.lexsort((right, r, block))
+        is_right = right[order]
+        right_before = np.cumsum(is_right) - block[order] * width
+        total += int(right_before[is_right == 0].sum())
+        width *= 2
+    return total
+
+
 def _kendall_arrays(a: np.ndarray, b: np.ndarray) -> float:
     n = len(a)
     if n < 2:
         raise ValueError("kendall tau needs >= 2 jointly present pairs")
-    concordant_minus_discordant = 0
-    ties_x = 0
-    ties_y = 0
-    for i in range(n - 1):
-        sx = np.sign(a[i + 1 :] - a[i])
-        sy = np.sign(b[i + 1 :] - b[i])
-        concordant_minus_discordant += int(np.sum(sx * sy))
-        ties_x += int(np.sum(sx == 0))
-        ties_y += int(np.sum(sy == 0))
+    _, xr, x_counts = np.unique(a, return_inverse=True, return_counts=True)
+    _, yr, y_counts = np.unique(b, return_inverse=True, return_counts=True)
+    _, xy_counts = np.unique(xr * len(y_counts) + yr, return_counts=True)
     n0 = n * (n - 1) // 2
+    ties_x, ties_y = _tied_pairs(x_counts), _tied_pairs(y_counts)
     if ties_x == n0 or ties_y == n0:
         raise ValueError("kendall tau undefined: a variable is entirely tied")
+    # after sorting by (x, y), a pair is discordant exactly when its y ranks
+    # are inverted; pairs tied in x or y are neither, and n3 counts the pairs
+    # tied in both, which ties_x and ties_y both subtract
+    discordant = _inversions(yr[np.lexsort((yr, xr))])
+    untied = n0 - ties_x - ties_y + _tied_pairs(xy_counts)
     denom = math.sqrt((n0 - ties_x) * (n0 - ties_y))
-    return concordant_minus_discordant / denom
+    return (untied - 2 * discordant) / denom
 
 
 def kendall_tau(x: Column, y: Column) -> float:
     """Kendall's tau-b with tie correction.
 
     (C - D) / sqrt((n0 - n1)(n0 - n2)) where n0 = n(n-1)/2 and n1/n2 count
-    tied pairs in each variable. Pair enumeration is O(n^2), one row of the
-    pair matrix at a time, which is fine at desk scale.
+    tied pairs in each variable. Knight's method (1966): C - D is
+    n0 - n1 - n2 + n3 - 2D, with n3 the pairs tied in both and D the
+    inversions of y after sorting by (x, y), all counted exactly in integers
+    in O(n log^2 n).
     """
     return _kendall_arrays(*_joint_present(x, y))
 

@@ -169,8 +169,10 @@ def agglomerative(data: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendr
     break toward the lexicographically smallest (a, b) cluster-id pair.
     Merge distances are non-decreasing for all three supported linkages.
 
-    Cost: one n x n float64 distance matrix (8 n^2 bytes) and one scan of
-    all n^2 cells per merge, O(n^3) time in all.
+    Cost: one n x n float64 distance matrix (8 n^2 bytes, plus an
+    n x n x d temporary while it is built) and a cached minimum of each
+    row. A merge takes O(n) work, plus one O(n) rescan for each row whose
+    minimum sat in a merged column and rose, so a fit is typically O(n^2).
     """
     x = _validate_matrix(data)
     n = x.shape[0]
@@ -178,22 +180,27 @@ def agglomerative(data: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendr
         raise ValueError("agglomerative clustering needs >= 2 points")
 
     # slot s holds one live cluster; a retired slot's row and column are
-    # +inf, as is the diagonal, so neither can hold the minimum
+    # +inf, as is the diagonal, so neither can hold the minimum; rowmin[s]
+    # is the minimum of row s
     dist = np.sqrt(_sq_distances(x, x))
     np.fill_diagonal(dist, np.inf)
+    rowmin = dist.min(axis=1)
     cluster_id = np.arange(n)
     size = np.ones(n, dtype=int)
 
     merges: list[Merge] = []
     for step in range(n - 1):
-        dmin = dist.min()
-        rows, cols = np.divmod(np.flatnonzero(dist == dmin), n)
-        ids_a = np.minimum(cluster_id[rows], cluster_id[cols])
-        ids_b = np.maximum(cluster_id[rows], cluster_id[cols])
-        best = np.lexsort((ids_b, ids_a))[0]
-        si, sj = rows[best], cols[best]
+        dmin = rowmin.min()
+        # every slot of a closest pair has rowmin == dmin, so the smallest
+        # (a, b) pair is the smallest id among those slots and that slot's
+        # smallest-id partner at dmin
+        tied = np.flatnonzero(rowmin == dmin)
+        sa = tied[np.argmin(cluster_id[tied])]
+        partners = np.flatnonzero(dist[sa] == dmin)
+        sb = partners[np.argmin(cluster_id[partners])]
+        si, sj = min(sa, sb), max(sa, sb)
         new_size = size[si] + size[sj]
-        merges.append(Merge(int(ids_a[best]), int(ids_b[best]), float(dmin), int(new_size)))
+        merges.append(Merge(int(cluster_id[sa]), int(cluster_id[sb]), float(dmin), int(new_size)))
 
         # Lance-Williams update: the merged cluster takes over slot si
         if linkage is Linkage.SINGLE:
@@ -202,9 +209,15 @@ def agglomerative(data: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendr
             row = np.maximum(dist[si], dist[sj])
         else:
             row = (size[si] * dist[si] + size[sj] * dist[sj]) / new_size
-        row[si] = np.inf
+        row[si] = row[sj] = np.inf
+        # rows whose minimum sat in column si or sj and rose need a rescan,
+        # rows si and sj among them (rows si and sj equal columns si and sj,
+        # the matrix being symmetric)
+        stale = np.flatnonzero(((dist[si] == rowmin) | (dist[sj] == rowmin)) & (row > rowmin))
         dist[si] = dist[:, si] = row
         dist[sj] = dist[:, sj] = np.inf
+        np.minimum(rowmin, row, out=rowmin)
+        rowmin[stale] = dist[stale].min(axis=1)
         cluster_id[si] = n + step
         size[si] = new_size
     return Dendrogram(tuple(merges), linkage, n)

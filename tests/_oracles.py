@@ -1,12 +1,16 @@
 """Brute-force pure-Python oracles used to cross-check the library.
 
 Everything here is deliberately naive (sorted copies, multi-pass loops,
-math.fsum) and shares no code with the implementations under test.
+math.fsum) and shares no code with the implementations under test. The
+numpy oracles at the end are earlier, slower library kernels, kept as they
+were so that their faster replacements can be held to the same bytes.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def o_mean(xs):
@@ -157,4 +161,65 @@ def o_agglomerative(points, linkage):
         del dist[(a, b)]
         del size[a], size[b]
         size[new] = new_size
+    return merges
+
+
+def o_kendall_pairloop(a, b):
+    """Kendall's tau-b of two float arrays, one row of the pair matrix at a
+    time (the library kernel before Knight's method)."""
+    n = len(a)
+    if n < 2:
+        raise ValueError("kendall tau needs >= 2 jointly present pairs")
+    concordant_minus_discordant = 0
+    ties_x = 0
+    ties_y = 0
+    for i in range(n - 1):
+        sx = np.sign(a[i + 1 :] - a[i])
+        sy = np.sign(b[i + 1 :] - b[i])
+        concordant_minus_discordant += int(np.sum(sx * sy))
+        ties_x += int(np.sum(sx == 0))
+        ties_y += int(np.sum(sy == 0))
+    n0 = n * (n - 1) // 2
+    if ties_x == n0 or ties_y == n0:
+        raise ValueError("kendall tau undefined: a variable is entirely tied")
+    denom = math.sqrt((n0 - ties_x) * (n0 - ties_y))
+    return concordant_minus_discordant / denom
+
+
+def o_agglomerative_scan(x, linkage):
+    """Merges (a, b, distance, size) of an n x d float array, scanning all
+    n^2 matrix cells per merge (the library kernel before the row-minimum
+    cache). linkage is "single", "complete" or "average"."""
+    n = x.shape[0]
+
+    # slot s holds one live cluster; a retired slot's row and column are
+    # +inf, as is the diagonal, so neither can hold the minimum
+    dist = np.sqrt(np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2))
+    np.fill_diagonal(dist, np.inf)
+    cluster_id = np.arange(n)
+    size = np.ones(n, dtype=int)
+
+    merges = []
+    for step in range(n - 1):
+        dmin = dist.min()
+        rows, cols = np.divmod(np.flatnonzero(dist == dmin), n)
+        ids_a = np.minimum(cluster_id[rows], cluster_id[cols])
+        ids_b = np.maximum(cluster_id[rows], cluster_id[cols])
+        best = np.lexsort((ids_b, ids_a))[0]
+        si, sj = rows[best], cols[best]
+        new_size = size[si] + size[sj]
+        merges.append((int(ids_a[best]), int(ids_b[best]), float(dmin), int(new_size)))
+
+        # Lance-Williams update: the merged cluster takes over slot si
+        if linkage == "single":
+            row = np.minimum(dist[si], dist[sj])
+        elif linkage == "complete":
+            row = np.maximum(dist[si], dist[sj])
+        else:
+            row = (size[si] * dist[si] + size[sj] * dist[sj]) / new_size
+        row[si] = np.inf
+        dist[si] = dist[:, si] = row
+        dist[sj] = dist[:, sj] = np.inf
+        cluster_id[si] = n + step
+        size[si] = new_size
     return merges

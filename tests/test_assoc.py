@@ -18,7 +18,13 @@ from edakit.assoc import (
 )
 from edakit.table import Table, boolean_column, categorical_column, numeric_column, read_csv
 
-from _oracles import o_average_ranks, o_kendall_tau_b, o_pearson, o_variance
+from _oracles import (
+    o_average_ranks,
+    o_kendall_pairloop,
+    o_kendall_tau_b,
+    o_pearson,
+    o_variance,
+)
 
 from conftest import ROOT
 
@@ -160,6 +166,73 @@ class TestKendall:
         t0 = kendall_tau(ncol(xs), ncol(ys))
         t1 = kendall_tau(ncol([math.exp(x) for x in xs]), ncol(ys))
         assert math.isclose(t0, t1, abs_tol=1e-15)
+
+
+def kendall_outcome(kernel, xs, ys):
+    """float.hex of the coefficient, or the ValueError message."""
+    try:
+        return kernel(xs, ys).hex()
+    except ValueError as e:
+        return str(e)
+
+
+class TestKendallMatchesPairLoop:
+    # Knight's method against the earlier per-row pair loop, bit for bit
+
+    def check(self, xs, ys):
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        got = kendall_outcome(lambda a, b: kendall_tau(ncol(list(a)), ncol(list(b))), xs, ys)
+        assert got == kendall_outcome(o_kendall_pairloop, xs, ys)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_integer_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 200))
+        span = int(rng.integers(2, 8))
+        self.check(rng.integers(-span, span, n), rng.integers(-span, span, n))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rounded_gaussians(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 300))
+        xs = np.round(rng.normal(0, 1, n), 1)
+        self.check(xs, np.round(xs + rng.normal(0, 1, n), 1))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_signed_zero_mixes(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(2, 60))
+        self.check(rng.choice([0.0, -0.0, 1.0], n), rng.choice([0.0, -0.0, 1.0], n))
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([0, 1], [0, 1]),
+        ([0, 1], [1, 0]),
+        ([1, 0], [0, 1]),
+        ([0.0, -0.0], [0, 1]),
+        ([0, 1], [5, 5]),
+    ])
+    def test_two_pairs(self, xs, ys):
+        self.check(xs, ys)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_thousand_rows(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n = 2000 + seed
+        xs = np.round(rng.normal(650, 96, n))
+        ys = np.round(rng.normal(39, 10, n)) if seed else rng.normal(0, 1, n)
+        self.check(xs, ys)
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([2, 2, 2], [1, 2, 3]),
+        ([1, 2, 3], [0.0, -0.0, 0.0]),
+        ([4, 4], [4, 4]),
+        ([1], [2]),
+    ])
+    def test_same_error_when_undefined(self, xs, ys):
+        with pytest.raises(ValueError):
+            kendall_tau(ncol(xs), ncol(ys))
+        self.check(xs, ys)
 
 
 class TestPointBiserial:

@@ -13,7 +13,7 @@ from edakit.cluster import (
     kmeans,
 )
 
-from _oracles import o_agglomerative
+from _oracles import o_agglomerative, o_agglomerative_scan
 
 
 def blobs(seed, centers, n_per=20, spread=0.3):
@@ -148,6 +148,34 @@ class TestAgglomerative:
             data = rng.integers(0, int(rng.integers(2, 7)), (n, dims)).astype(float)
             got = [tuple(m) for m in agglomerative(data, linkage).merges]
             assert got == o_agglomerative([tuple(p) for p in data.tolist()], linkage.value)
+
+
+class TestAgglomerativeMatchesScan:
+    # the row-minimum cache against the earlier full n^2 scan per merge,
+    # exact merge tuples (ids, distance bits, sizes)
+
+    def check(self, data, linkage):
+        got = [tuple(m) for m in agglomerative(data, linkage).merges]
+        assert got == o_agglomerative_scan(data, linkage.value)
+
+    @pytest.mark.parametrize("linkage", list(Linkage))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_grids(self, linkage, seed):
+        rng = np.random.default_rng(seed)
+        n = 400 if seed == 0 else int(rng.integers(2, 400))
+        dims = 1 + seed % 3
+        data = rng.integers(0, int(rng.integers(2, 12)), (n, dims)).astype(float)
+        self.check(data, linkage)
+
+    @pytest.mark.parametrize("linkage", list(Linkage))
+    def test_identical_points(self, linkage):
+        # every distance is 0, so every merge is a tie
+        self.check(np.full((40, 2), 3.5), linkage)
+
+    @pytest.mark.parametrize("linkage", list(Linkage))
+    @pytest.mark.parametrize("step", [1.0, 0.1])
+    def test_evenly_spaced_line(self, linkage, step):
+        self.check(np.arange(80)[:, None] * step, linkage)
 
 
 class TestDbscan:
