@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Scaling curve of edakit's super-linear kernels, timed in-process.
 
-Times Kendall's tau-b on one column pair (CreditScore, Age) and
-agglomerative clustering of the CreditScore,Age matrix under each linkage,
-at each size in --sizes. Every input is a ``scripts/make_fixture`` table
-built with ``N`` set to the size and ``SEED = 5``. A time is the median of
---repeats calls; building the table is not timed.
+Times Kendall's tau-b on one column pair (CreditScore, Age),
+agglomerative clustering of the CreditScore,Age matrix under each linkage
+and DBSCAN of the Balance,Age matrix (eps 500, min_pts 10, as in the
+benchmark), at each size in --sizes. Every input is a
+``scripts/make_fixture`` table built with ``N`` set to the size and
+``SEED = 5``. A time is the median of --repeats calls; building the table
+is not timed. One more call runs under ``tracemalloc`` for the kernel's
+peak of traced memory, which is reported in MB.
 
 A kernel skips the sizes whose estimated time exceeds CAP_S seconds,
 estimated as its last median times the cube of the size ratio (the worst
 growth of the kernels timed). Agglomerative clustering also skips the sizes
-whose distance matrix build would exceed MAX_MB: it peaks at about
-8 n^2 (d + 1) bytes.
+whose distance matrix would exceed MAX_MB: it peaks at about 8 n^2 bytes
+plus a block of rows of about 1 MB.
 
 Prints one JSON object. Usage (from the repository root):
 
@@ -27,6 +30,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +41,13 @@ sys.path.insert(0, str(ROOT / "scripts"))
 
 import make_fixture  # noqa: E402
 from edakit.assoc import kendall_tau  # noqa: E402
-from edakit.cluster import Linkage, agglomerative  # noqa: E402
+from edakit.cluster import Linkage, agglomerative, dbscan  # noqa: E402
 
 SEED = 5
 KENDALL_PAIR = ("CreditScore", "Age")
 CLUSTER_COLUMNS = ("CreditScore", "Age")
+DBSCAN_COLUMNS = ("Balance", "Age")
+DBSCAN_EPS, DBSCAN_MIN_PTS = 500.0, 10
 CAP_S = 60.0
 MAX_MB = 1000.0
 
@@ -51,16 +57,32 @@ def fixture(n: int):
     return make_fixture.build_fixture()
 
 
+def matrix(t, columns) -> np.ndarray:
+    return np.column_stack([t.column(name).values for name in columns]).astype(float)
+
+
 def kernels(t) -> dict:
     """Name -> (zero-argument call, its peak bytes estimate or None)."""
     x, y = (t.column(name) for name in KENDALL_PAIR)
-    data = np.column_stack([t.column(name).values for name in CLUSTER_COLUMNS]).astype(float)
-    n, d = data.shape
+    data = matrix(t, CLUSTER_COLUMNS)
+    density = matrix(t, DBSCAN_COLUMNS)
+    n = t.row_count
     calls = {"kendall_pair": (lambda: kendall_tau(x, y), None)}
     for linkage in Linkage:
         calls[f"agglomerative_{linkage.value}"] = (
-            lambda linkage=linkage: agglomerative(data, linkage), 8 * n * n * (d + 1))
+            lambda linkage=linkage: agglomerative(data, linkage), 8 * n * n + 2**20)
+    calls["dbscan"] = (lambda: dbscan(density, DBSCAN_EPS, DBSCAN_MIN_PTS), None)
     return calls
+
+
+def traced_peak(call) -> float:
+    """Peak traced memory of one call, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> int:
@@ -75,7 +97,7 @@ def main() -> int:
     last: dict = {}  # kernel -> (n, median seconds) of its last timed size
     for n in sizes:
         for name, (call, peak_bytes) in kernels(fixture(n)).items():
-            curve = curves.setdefault(name, {"seconds": {}, "skipped": {}})
+            curve = curves.setdefault(name, {"seconds": {}, "peak_mb": {}, "skipped": {}})
             if name in last:
                 prev_n, prev_s = last[name]
                 estimate = prev_s * (n / prev_n) ** 3
@@ -92,6 +114,7 @@ def main() -> int:
                 times.append(time.perf_counter() - start)
             last[name] = (n, statistics.median(times))
             curve["seconds"][str(n)] = round(last[name][1], 4)
+            curve["peak_mb"][str(n)] = round(traced_peak(call), 2)
 
     print(json.dumps({
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),

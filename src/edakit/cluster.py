@@ -9,6 +9,7 @@ results. Distances are Euclidean throughout.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -129,6 +130,11 @@ def kmeans(
 # ---------------------------------------------------------------------------
 # agglomerative hierarchical clustering
 
+# agglomerative builds its distance matrix in blocks of rows whose n x d
+# temporaries hold at most this many float64 elements (512 KiB)
+_CHUNK = 1 << 16
+
+
 class Linkage(enum.Enum):
     SINGLE = "single"
     COMPLETE = "complete"
@@ -169,20 +175,34 @@ def agglomerative(data: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendr
     break toward the lexicographically smallest (a, b) cluster-id pair.
     Merge distances are non-decreasing for all three supported linkages.
 
-    Cost: one n x n float64 distance matrix (8 n^2 bytes, plus an
-    n x n x d temporary while it is built) and a cached minimum of each
-    row. A merge takes O(n) work, plus one O(n) rescan for each row whose
-    minimum sat in a merged column and rose, so a fit is typically O(n^2).
+    Cost: one n x n float64 distance matrix (8 n^2 bytes; it is built a
+    block of rows at a time, so the build adds a fixed-size temporary) and a
+    cached minimum of each row. A merge takes O(n) work, plus one O(n)
+    rescan for each row whose minimum sat in a merged column and rose, so a
+    fit is typically O(n^2).
+
+    Raises:
+        ValueError: fewer than 2 points, non-finite cells, or a squared
+            distance that overflows float64 (rescale the data).
     """
     x = _validate_matrix(data)
     n = x.shape[0]
     if n < 2:
         raise ValueError("agglomerative clustering needs >= 2 points")
 
+    dist = np.empty((n, n))
+    rows = max(1, _CHUNK // max(n * x.shape[1], 1))
+    for lo in range(0, n, rows):
+        with np.errstate(over="ignore"):
+            block = _sq_distances(x[lo:lo + rows], x)
+        if not np.all(np.isfinite(block)):
+            raise ValueError("pairwise squared distances overflow float64; rescale the data")
+        dist[lo:lo + rows] = block
+    np.sqrt(dist, out=dist)
+
     # slot s holds one live cluster; a retired slot's row and column are
     # +inf, as is the diagonal, so neither can hold the minimum; rowmin[s]
     # is the minimum of row s
-    dist = np.sqrt(_sq_distances(x, x))
     np.fill_diagonal(dist, np.inf)
     rowmin = dist.min(axis=1)
     cluster_id = np.arange(n)
@@ -246,6 +266,12 @@ def cut(dendrogram: Dendrogram, k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # DBSCAN
 
+# pairs per chunk in dbscan's searches: with their index arrays and the
+# d-wide coordinate gathers, a chunk's temporaries stay near 1 MB for a few
+# columns, however dense the data
+_PAIRS = 1 << 12
+
+
 @dataclass(frozen=True)
 class DbscanResult:
     labels: tuple[int, ...]  # -1 marks noise
@@ -267,8 +293,12 @@ def dbscan(data: np.ndarray, eps: float, min_pts: int) -> DbscanResult:
     borders by nearest core rather than by expansion order makes the
     induced partition invariant under row permutation.
 
-    The neighbor lists hold every pair within eps, so their memory grows
-    with density, up to n^2 indices when eps spans the data.
+    Cost: points are bucketed into a grid of cells of side about
+    eps/sqrt(d), and only pairs in nearby cells are compared (Gunawan 2013;
+    de Berg, Gunawan & Roeloffzen, arXiv:1702.08607). A cell of >= min_pts
+    points that all lie within eps of each other is all core without
+    counting, and core cells join by union-find with an early exit. Memory
+    is O(n) plus temporaries of a fixed size, however dense the data.
     """
     x = _validate_matrix(data)
     if not eps > 0:
@@ -276,37 +306,242 @@ def dbscan(data: np.ndarray, eps: float, min_pts: int) -> DbscanResult:
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
     n = x.shape[0]
-    eps2 = eps * eps
+    if n == 0:
+        return DbscanResult((), eps, min_pts)
+    g = _Grid(x, eps)
+    eps2 = g.eps2
 
-    def neighbors(i: int) -> np.ndarray:
-        d2 = np.sum((x - x[i]) ** 2, axis=1)
-        return np.flatnonzero(d2 <= eps2)
+    # core points: a tight cell of >= min_pts points is all core; any other
+    # point counts its neighbors until it reaches min_pts
+    dense = g.tight & (g.size >= min_pts)
+    count = np.zeros(n, dtype=np.int64)
+    for ci, cj in g.cell_pairs(np.flatnonzero(~dense), np.arange(len(g.first))):
+        for p, q, d2 in g.pairs(ci, cj, g.first, g.size, g.size, lambda p, c: count[p] < min_pts):
+            np.add.at(count, p[d2 <= eps2], 1)
+    ncore = g.cores_first(dense[g.cell] | (count >= min_pts))
 
-    neighbor_lists = [neighbors(i) for i in range(n)]
-    is_core = np.array([len(nb) >= min_pts for nb in neighbor_lists])
+    # union-find over core points; the cores of a tight cell are all within
+    # eps of each other and share one node, the cell's first position
+    cores = np.flatnonzero(g.core)
+    node = np.where(g.tight[g.cell], g.first[g.cell], np.arange(n))
+    parent = np.arange(n)
 
-    labels = np.full(n, -1, dtype=int)
-    cluster = -1
-    for i in np.flatnonzero(is_core):
-        if labels[i] != -1:
-            continue
-        cluster += 1
-        labels[i] = cluster
-        stack = [i]
-        while stack:
-            nb = neighbor_lists[stack.pop()]
-            grown = nb[is_core[nb] & (labels[nb] == -1)]
-            labels[grown] = cluster
-            stack.extend(grown)
+    def apart(p, c):
+        return ~g.tight[c] | (_find(parent, node[p]) != _find(parent, g.first[c]))
 
-    for i in np.flatnonzero(~is_core):
-        nb = neighbor_lists[i]
-        core_nbrs = nb[is_core[nb]]
-        if len(core_nbrs) == 0:
-            continue
-        d2 = np.sum((x[core_nbrs] - x[i]) ** 2, axis=1)
-        labels[i] = labels[core_nbrs[d2 == d2.min()]].min()
+    core_cells = np.flatnonzero(ncore)
+    for ci, cj in g.cell_pairs(core_cells, core_cells, half=True):
+        keep = (ci != cj) | ~g.tight[ci]
+        for p, q, d2 in g.pairs(ci[keep], cj[keep], g.first, ncore, ncore, apart):
+            hit = d2 <= eps2
+            _union(parent, node[p[hit]], node[q[hit]])
+
+    # clusters are numbered by their smallest core row
+    root = _find(parent, node[cores])
+    lowest = np.full(n, n)
+    np.minimum.at(lowest, root, g.row[cores])
+    comps = np.flatnonzero(lowest < n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[comps[np.argsort(lowest[comps])]] = np.arange(len(comps))
+    label = np.full(n, -1, dtype=np.int64)
+    label[cores] = rank[root]
+
+    # borders: the nearest core within eps, distance ties to the lowest label
+    rest = g.size - ncore
+    best = np.full(n, np.inf)
+    best_label = np.full(n, n)
+    for ci, cj in g.cell_pairs(np.flatnonzero(rest), core_cells):
+        for p, q, d2 in g.pairs(ci, cj, g.first + ncore, rest, ncore):
+            hit = d2 <= eps2
+            p, d2, lab = p[hit], d2[hit], label[q[hit]]
+            o = np.lexsort((lab, d2, p))
+            p, d2, lab = p[o], d2[o], lab[o]
+            head = np.ones(len(p), dtype=bool)
+            head[1:] = p[1:] != p[:-1]
+            p, d2, lab = p[head], d2[head], lab[head]
+            better = (d2 < best[p]) | ((d2 == best[p]) & (lab < best_label[p]))
+            best[p[better]] = d2[better]
+            best_label[p[better]] = lab[better]
+    border = best_label < n
+    label[border] = best_label[border]
+
+    labels = np.empty(n, dtype=np.int64)
+    labels[g.row] = label
     return DbscanResult(tuple(int(v) for v in labels), eps, min_pts)
+
+
+def _find(parent: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Roots of the nodes v; their parents are set to the roots."""
+    root = parent[v]
+    while True:
+        up = parent[root]
+        if np.array_equal(up, root):
+            break
+        root = up
+    parent[v] = root
+    return root
+
+
+def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the sets of a[i] and b[i] for every i; a root is only ever hooked
+    under a smaller one, so parent pointers cannot form a cycle."""
+    while len(a):
+        ra, rb = _find(parent, a), _find(parent, b)
+        split = ra != rb
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        parent[np.maximum(ra, rb)] = np.minimum(ra, rb)
+
+
+def _ranges(first: np.ndarray, length: np.ndarray, cap: int):
+    """Chunks (k, v) of the concatenated ranges first[k] + 0..length[k]-1,
+    at most cap elements each; k tells which range each v belongs to."""
+    ends = np.cumsum(length)
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, cap):
+        pos = np.arange(lo, min(lo + cap, total))
+        k = np.searchsorted(ends, pos, side="right")
+        yield k, first[k] + (pos - (ends[k] - length[k]))
+
+
+class _Grid:
+    """The rows of x bucketed into cubic cells, for DBSCAN's pair searches.
+
+    Points are held at positions sorted by cell, so a cell is a run of
+    positions. Every "within eps" decision is ``sq(a, b) <= eps2``, the
+    arithmetic of ``np.sum((x - x[i]) ** 2, axis=1)`` applied to single
+    pairs. Pair temporaries hold at most ``_PAIRS`` pairs.
+    """
+
+    def __init__(self, x: np.ndarray, eps: float):
+        n, d = x.shape
+        self.eps2 = eps * eps
+        # (x - x[i]) takes the memory order of x; in Fortran order numpy sums
+        # a row column by column, in C order pairwise along the row, which
+        # differs from d = 9 on
+        probe = np.empty_like(x)
+        self.by_column = probe.flags.f_contiguous and not probe.flags.c_contiguous
+
+        # a pair with sq <= eps2 is closer than reach * (1 + 2**-50) in each
+        # coordinate (the floor 2**-500 covers squares that underflow); cells
+        # of side reach / sqrt(d), widened until |x / side| <= 2**40, so that
+        # x / side is off by at most 2**-13 cells and such a pair lies at
+        # most r = isqrt(d) + 1 cells apart in each coordinate
+        reach = math.inf if math.isinf(self.eps2) else max(eps, 2.0**-500)
+        maxabs = float(np.abs(x).max(initial=0.0))
+        side = max(reach / math.sqrt(max(d, 1)), maxabs * 2.0**-40)
+        self.r = math.isqrt(d) + 1
+        u = np.floor(x / side).astype(np.int64)
+
+        # the two coordinates with the most distinct cells lead the sort and
+        # the range search in cell_pairs; fewer than two are padded with 0
+        distinct = [len(np.unique(u[:, k])) for k in range(d)]
+        u = u[:, np.argsort(distinct, kind="stable")[::-1]]
+        if d < 2:
+            u = np.hstack([u, np.zeros((n, 2 - d), dtype=np.int64)])
+        self.row = np.lexsort(u.T[::-1])  # input row at each position
+        u = u[self.row]
+        new = np.ones(n, dtype=bool)
+        new[1:] = np.any(u[1:] != u[:-1], axis=1)
+        self.first = np.flatnonzero(new)  # first position of each cell
+        self.size = np.diff(np.append(self.first, n))
+        self.cell = np.cumsum(new) - 1  # cell at each position
+        self.coords = u[self.first]
+        self.x = x[self.row]
+
+        # rounding is monotone, so when the corners of a cell's bounding box
+        # are within eps, so is every pair in the cell
+        self.lo = np.minimum.reduceat(self.x, self.first, axis=0)
+        self.hi = np.maximum.reduceat(self.x, self.first, axis=0)
+        self.tight = self.sq(self.hi, self.lo) <= self.eps2
+
+    def sq(self, a: np.ndarray, b) -> np.ndarray:
+        squares = np.subtract(a, b) ** 2
+        if self.by_column and squares.shape[1]:
+            return functools.reduce(np.add, squares.T)
+        return np.sum(squares, axis=1)
+
+    def cores_first(self, core: np.ndarray) -> np.ndarray:
+        """Reorder each cell's positions to put its cores (flagged by
+        position) first, rows ascending within each part. Sets self.core, the
+        flags in the new order, and returns the number of cores per cell."""
+        order = np.lexsort((~core, self.cell))
+        self.row, self.x, self.core = self.row[order], self.x[order], core[order]
+        return np.bincount(self.cell[self.core], minlength=len(self.first))
+
+    def cell_pairs(self, src: np.ndarray, dst: np.ndarray, half: bool = False):
+        """Chunks (ci, cj) of the source cells src and destination cells dst
+        (ascending cell ids) at most r apart in every coordinate, only those
+        with ci <= cj when half: a range search over the two leading
+        coordinates, then a comparison of the others."""
+        if not len(src) or not len(dst):
+            return
+        r = self.r
+        cs, cd = self.coords[src], self.coords[dst]
+        v0, rank0 = np.unique(cd[:, 0], return_inverse=True)
+        v1, rank1 = np.unique(cd[:, 1], return_inverse=True)
+        key = rank0 * len(v1) + rank1  # non-decreasing, as cells are sorted
+        lo1 = np.searchsorted(v1, cs[:, 1] - r)
+        hi1 = np.searchsorted(v1, cs[:, 1] + r, side="right")
+        steps = range(0 if half else -r, r + 1)
+        starts, lengths = [], []
+        for step in steps:
+            t = np.searchsorted(v0, cs[:, 0] + step)
+            found = v0[np.minimum(t, len(v0) - 1)] == cs[:, 0] + step
+            start = np.searchsorted(key, t * len(v1) + lo1)
+            stop = np.searchsorted(key, t * len(v1) + hi1)
+            if half and step == 0:
+                start = np.maximum(start, np.searchsorted(dst, src))
+            starts.append(start)
+            lengths.append(np.where(found, np.maximum(stop - start, 0), 0))
+        owner = np.tile(src, len(steps))
+        for k, j in _ranges(np.concatenate(starts), np.concatenate(lengths), _PAIRS):
+            ci, cj = owner[k], dst[j]
+            for dim in range(2, self.coords.shape[1]):
+                close = np.abs(self.coords[ci, dim] - self.coords[cj, dim]) <= r
+                ci, cj = ci[close], cj[close]
+            yield ci, cj
+
+    def pairs(self, src, dst, src_first, src_size, dst_size, live=None):
+        """Chunks (p, q, d2) of the position pairs from cell src[k] to cell
+        dst[k]: p runs over positions src_first[c] + 0..src_size[c]-1 of a
+        source cell c, q over the first dst_size[c] positions of a
+        destination cell c.
+
+        A row is one p with its destination cell c. Rows whose point is
+        farther than eps from the bounding box of the destination cell are
+        dropped. live(p, c) flags the rows that still need pairs; it runs on
+        the remaining rows before each batch of about _PAIRS pairs, so it may
+        read what the caller gathered from earlier chunks.
+        """
+        for k, p in _ranges(src_first[src], src_size[src], _PAIRS):
+            # the i-th row of every cell pair comes before any (i+1)-th, so a
+            # pair that live() retires early costs few rows
+            turn = np.argsort(p - src_first[src[k]], kind="stable")
+            p, c = p[turn], dst[k[turn]]
+            keep = self.near(p, c)
+            p, c = p[keep], c[keep]
+            while len(p):
+                if live is not None:
+                    keep = live(p, c)
+                    p, c = p[keep], c[keep]
+                batch = max(1, int(np.searchsorted(np.cumsum(dst_size[c]), _PAIRS, side="right")))
+                rp, rc = p[:batch], c[:batch]
+                for k2, q in _ranges(self.first[rc], dst_size[rc], _PAIRS):
+                    pp = rp[k2]
+                    yield pp, q, self.sq(self.x[pp], self.x[q])
+                p, c = p[batch:], c[batch:]
+
+    def near(self, p: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Rows whose point p may lie within eps of cell c. Summed like a
+        pair, the gap from p to the cell's bounding box is at most the
+        distance to any point in the cell. A cell of one point is left to
+        the pair itself."""
+        keep = np.ones(len(p), dtype=bool)
+        box = self.size[c] > 1
+        xp, c = self.x[p[box]], c[box]
+        gap = np.maximum(np.maximum(self.lo[c] - xp, xp - self.hi[c]), 0.0)
+        keep[box] = self.sq(gap, 0.0) <= self.eps2
+        return keep
 
 
 # ---------------------------------------------------------------------------

@@ -223,3 +223,40 @@ def o_agglomerative_scan(x, linkage):
         cluster_id[si] = n + step
         size[si] = new_size
     return merges
+
+
+def o_dbscan_lists(x, eps, min_pts):
+    """DBSCAN labels of an n x d float array from stored neighbor lists, one
+    per row, of every row within eps (the library kernel before the grid)."""
+    n = x.shape[0]
+    eps2 = eps * eps
+
+    def neighbors(i: int) -> np.ndarray:
+        d2 = np.sum((x - x[i]) ** 2, axis=1)
+        return np.flatnonzero(d2 <= eps2)
+
+    neighbor_lists = [neighbors(i) for i in range(n)]
+    is_core = np.array([len(nb) >= min_pts for nb in neighbor_lists])
+
+    labels = np.full(n, -1, dtype=int)
+    cluster = -1
+    for i in np.flatnonzero(is_core):
+        if labels[i] != -1:
+            continue
+        cluster += 1
+        labels[i] = cluster
+        stack = [i]
+        while stack:
+            nb = neighbor_lists[stack.pop()]
+            grown = nb[is_core[nb] & (labels[nb] == -1)]
+            labels[grown] = cluster
+            stack.extend(grown)
+
+    for i in np.flatnonzero(~is_core):
+        nb = neighbor_lists[i]
+        core_nbrs = nb[is_core[nb]]
+        if len(core_nbrs) == 0:
+            continue
+        d2 = np.sum((x[core_nbrs] - x[i]) ** 2, axis=1)
+        labels[i] = labels[core_nbrs[d2 == d2.min()]].min()
+    return tuple(int(v) for v in labels)

@@ -1,4 +1,7 @@
+import functools
 import math
+import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from edakit.cluster import (
     kmeans,
 )
 
-from _oracles import o_agglomerative, o_agglomerative_scan
+from _oracles import o_agglomerative, o_agglomerative_scan, o_dbscan_lists
 
 
 def blobs(seed, centers, n_per=20, spread=0.3):
@@ -23,6 +26,24 @@ def blobs(seed, centers, n_per=20, spread=0.3):
 
 
 TOY = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def balance_age(n, zero_share=0.3, seed=0):
+    """The churn table's Balance,Age shape: Balance is 0 for about
+    zero_share of the rows and uniform on [20000, 200000] otherwise."""
+    rng = np.random.default_rng(seed)
+    balance = np.where(rng.random(n) < zero_share, 0.0, np.round(20000 + 180000 * rng.random(n), 2))
+    age = np.maximum(18.0, np.round(rng.normal(39, 10, n)))
+    return np.column_stack([balance, age])
 
 
 class TestKMeans:
@@ -178,6 +199,107 @@ class TestAgglomerativeMatchesScan:
         self.check(np.arange(80)[:, None] * step, linkage)
 
 
+class TestAgglomerativeLimits:
+    def test_overflowing_distances_rejected(self):
+        # the squared distances overflow to inf, which used to yield
+        # self-merges such as Merge(0, 0, inf, 2)
+        with pytest.raises(ValueError, match="overflow"):
+            agglomerative(np.array([[0.0], [1e308], [-1e308]]), Linkage.AVERAGE)
+
+    def test_build_peak_is_one_matrix(self):
+        # the distance matrix is built a block of rows at a time, not
+        # through an n x n x d temporary
+        n = 1000
+        data = np.random.default_rng(0).normal(0, 1, (n, 2))
+        peak = traced_peak(agglomerative, data, Linkage.SINGLE)
+        assert peak <= 1.3 * 8 * n * n
+
+
+class TestDbscanMatchesLists:
+    # the grid against the earlier stored neighbor lists, exact labels
+
+    def check(self, data, eps, min_pts):
+        with np.errstate(over="ignore"):
+            expected = o_dbscan_lists(data, eps, min_pts)
+            assert dbscan(data, eps, min_pts).labels == expected
+
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_grids(self, dims, seed):
+        # integer eps on integer coordinates: many pairs sit at exactly eps
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        data = rng.integers(0, int(rng.integers(3, 15)), (n, dims)).astype(float)
+        for eps in (1.0, 2.0, 3.0):
+            for min_pts in (1, 2, 4, 7, n + 1):
+                self.check(data, eps, min_pts)
+
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    def test_rounded_gaussians_and_duplicates(self, dims):
+        rng = np.random.default_rng(dims)
+        rounded = np.round(rng.normal(0, 1, (250, dims)), 1)
+        repeated = np.repeat(rng.integers(0, 4, (30, dims)).astype(float), 6, axis=0)
+        for data in (rounded, repeated):
+            for eps in (0.1, 0.3, 1.0):
+                for min_pts in (1, 3, 6, 20):
+                    self.check(data, eps, min_pts)
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-158, 1e155, 1e300])
+    def test_extreme_eps(self, eps):
+        # squares that underflow to 0 or overflow to inf still decide
+        # neighbors exactly as before
+        rng = np.random.default_rng(1)
+        for scale in (1e-160, 1.0, 1e150):
+            data = rng.integers(-4, 5, (60, 2)) * scale
+            for min_pts in (1, 3, 61):
+                self.check(data, eps, min_pts)
+
+    def test_large_coordinates(self):
+        # near 1e15 the spacing of doubles is 0.125, so x / side rounds
+        rng = np.random.default_rng(2)
+        data = 1e15 + rng.integers(0, 16, (200, 2)) * 0.125
+        for eps in (0.125, 0.25, 0.3, 1.0):
+            self.check(data, eps, 4)
+
+    def test_extreme_magnitudes(self):
+        data = np.array([[0.0], [1e308], [-1e308]])
+        for eps, min_pts in ((1.0, 1), (1e300, 2), (1e200, 2)):
+            self.check(data, eps, min_pts)
+
+    def test_memory_order_of_wide_rows(self):
+        # numpy sums a row of a C-ordered array pairwise and one of a
+        # Fortran-ordered array column by column, which can round apart from
+        # d = 9 on; eps^2 is put between the two sums of one pair
+        rng = np.random.default_rng(3)
+        while True:
+            pair = rng.normal(0, 1, (2, 9))
+            sq = (pair[0] - pair[1]) ** 2
+            lo, hi = sorted((float(np.sum(sq)), functools.reduce(operator.add, sq.tolist())))
+            eps = math.sqrt(lo)
+            while eps * eps < lo:
+                eps = math.nextafter(eps, math.inf)
+            if eps * eps < hi:
+                break
+        by_order = {}
+        for order in "CF":
+            data = np.asarray(pair, order=order)
+            self.check(data, eps, 2)
+            by_order[order] = dbscan(data, eps, 2).labels
+        assert by_order["C"] != by_order["F"]
+
+    def test_balance_age_shape(self):
+        self.check(balance_age(5000), 500.0, 10)
+
+
+class TestDbscanMemory:
+    def test_peak_does_not_grow_with_the_dense_block(self):
+        # every pair of the zero-Balance block is a neighbor pair; stored
+        # neighbor lists took 21 MB at a 30% block and grew with its square
+        for zero_share in (0.3, 0.6):
+            peak = traced_peak(dbscan, balance_age(5000, zero_share), 500.0, 10)
+            assert peak < 5e6
+
+
 class TestDbscan:
     def test_two_blobs_and_noise(self):
         data = np.array(
@@ -227,6 +349,9 @@ class TestDbscan:
             inv[perm] = np.arange(len(perm))
             mapped = tuple(permuted.labels[inv[i]] for i in range(len(data)))
             assert partition(base.labels) == partition(mapped)
+
+    def test_no_points(self):
+        assert dbscan(np.empty((0, 2)), eps=1.0, min_pts=1).labels == ()
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
