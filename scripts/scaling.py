@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Scaling curve of edakit's super-linear kernels, timed in-process.
+"""Scaling curve of edakit's super-linear kernels and of its CSV and churn
+pipeline paths, timed in-process.
 
 Times Kendall's tau-b on one column pair (CreditScore, Age),
-agglomerative clustering of the CreditScore,Age matrix under each linkage
-and DBSCAN of the Balance,Age matrix (eps 500, min_pts 10, as in the
-benchmark), at each size in --sizes. Every input is a
+agglomerative clustering of the CreditScore,Age matrix under each linkage,
+DBSCAN of the Balance,Age matrix (eps 500, min_pts 10, as in the
+benchmark), ``read_csv`` and ``write_csv`` of the whole table, and
+``churn_pipeline`` on it, at each size in --sizes (--kernels picks a
+subset by name). ``read_csv`` reads a file that ``write_csv`` wrote to a
+temporary directory before timing. Every input is a
 ``scripts/make_fixture`` table built with ``N`` set to the size and
 ``SEED = 5``. A time is the median of --repeats calls; building the table
 is not timed. One more call runs under ``tracemalloc`` for the kernel's
@@ -19,6 +23,7 @@ plus a block of rows of about 1 MB.
 Prints one JSON object. Usage (from the repository root):
 
     python3 scripts/scaling.py [--sizes 1000,2000,5000,10000] [--repeats 3]
+        [--kernels read_csv,write_csv,churn_pipeline]
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -42,6 +48,8 @@ sys.path.insert(0, str(ROOT / "scripts"))
 import make_fixture  # noqa: E402
 from edakit.assoc import kendall_tau  # noqa: E402
 from edakit.cluster import Linkage, agglomerative, dbscan  # noqa: E402
+from edakit.report import churn_pipeline  # noqa: E402
+from edakit.table import read_csv, write_csv  # noqa: E402
 
 SEED = 5
 KENDALL_PAIR = ("CreditScore", "Age")
@@ -61,8 +69,10 @@ def matrix(t, columns) -> np.ndarray:
     return np.column_stack([t.column(name).values for name in columns]).astype(float)
 
 
-def kernels(t) -> dict:
-    """Name -> (zero-argument call, its peak bytes estimate or None)."""
+def kernels(t, scratch: Path) -> dict:
+    """Name -> (zero-argument call, its peak bytes estimate or None).
+
+    Files go to the directory ``scratch``."""
     x, y = (t.column(name) for name in KENDALL_PAIR)
     data = matrix(t, CLUSTER_COLUMNS)
     density = matrix(t, DBSCAN_COLUMNS)
@@ -72,6 +82,11 @@ def kernels(t) -> dict:
         calls[f"agglomerative_{linkage.value}"] = (
             lambda linkage=linkage: agglomerative(data, linkage), 8 * n * n + 2**20)
     calls["dbscan"] = (lambda: dbscan(density, DBSCAN_EPS, DBSCAN_MIN_PTS), None)
+    source = scratch / "table.csv"
+    write_csv(t, source)
+    calls["read_csv"] = (lambda: read_csv(source), None)
+    calls["write_csv"] = (lambda: write_csv(t, scratch / "written.csv"), None)
+    calls["churn_pipeline"] = (lambda: churn_pipeline(t), None)
     return calls
 
 
@@ -85,36 +100,47 @@ def traced_peak(call) -> float:
         tracemalloc.stop()
 
 
+def time_kernel(name: str, n: int, call, peak_bytes, repeats: int, curves: dict, last: dict) -> None:
+    """Time one kernel at size n into ``curves``, or record why it is skipped.
+
+    ``last`` maps a kernel to (n, median seconds) of its last timed size."""
+    curve = curves.setdefault(name, {"seconds": {}, "peak_mb": {}, "skipped": {}})
+    if name in last:
+        prev_n, prev_s = last[name]
+        estimate = prev_s * (n / prev_n) ** 3
+        if estimate > CAP_S:
+            curve["skipped"][str(n)] = f"estimated {estimate:.0f} s > {CAP_S:g} s"
+            return
+    if peak_bytes is not None and peak_bytes / 1e6 > MAX_MB:
+        curve["skipped"][str(n)] = f"estimated {peak_bytes / 1e6:.0f} MB > {MAX_MB:g} MB"
+        return
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    last[name] = (n, statistics.median(times))
+    curve["seconds"][str(n)] = round(last[name][1], 4)
+    curve["peak_mb"][str(n)] = round(traced_peak(call), 2)
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--sizes", default="1000,2000,5000,10000",
                    help="comma-separated row counts, ascending")
     p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--kernels", help="comma-separated kernel names to time (default: all)")
     args = p.parse_args()
     sizes = sorted(int(s) for s in args.sizes.split(","))
+    wanted = set(args.kernels.split(",")) if args.kernels else None
 
     curves: dict = {}
-    last: dict = {}  # kernel -> (n, median seconds) of its last timed size
+    last: dict = {}
     for n in sizes:
-        for name, (call, peak_bytes) in kernels(fixture(n)).items():
-            curve = curves.setdefault(name, {"seconds": {}, "peak_mb": {}, "skipped": {}})
-            if name in last:
-                prev_n, prev_s = last[name]
-                estimate = prev_s * (n / prev_n) ** 3
-                if estimate > CAP_S:
-                    curve["skipped"][str(n)] = f"estimated {estimate:.0f} s > {CAP_S:g} s"
-                    continue
-            if peak_bytes is not None and peak_bytes / 1e6 > MAX_MB:
-                curve["skipped"][str(n)] = f"estimated {peak_bytes / 1e6:.0f} MB > {MAX_MB:g} MB"
-                continue
-            times = []
-            for _ in range(args.repeats):
-                start = time.perf_counter()
-                call()
-                times.append(time.perf_counter() - start)
-            last[name] = (n, statistics.median(times))
-            curve["seconds"][str(n)] = round(last[name][1], 4)
-            curve["peak_mb"][str(n)] = round(traced_peak(call), 2)
+        with tempfile.TemporaryDirectory() as scratch:
+            for name, (call, peak_bytes) in kernels(fixture(n), Path(scratch)).items():
+                if wanted is None or name in wanted:
+                    time_kernel(name, n, call, peak_bytes, args.repeats, curves, last)
 
     print(json.dumps({
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .table import Column, Kind, Table, numeric_with_mask
+from .table import Column, Kind, Table, label_codes, numeric_with_mask
 
 
 class CorrMethod(enum.Enum):
@@ -228,20 +228,16 @@ def contingency(a: Column, b: Column) -> ContingencyTable:
     for c in (a, b):
         if c.kind is Kind.NUMERIC:
             raise ValueError(f"column {c.name!r} is numeric; bin it first")
-    pairs = [
-        (str(av), str(bv))
-        for av, bv in zip(a.values, b.values)
-        if av is not None and bv is not None
-    ]
-    row_labels = sorted({p[0] for p in pairs})
-    col_labels = sorted({p[1] for p in pairs})
-    counts = [[0] * len(col_labels) for _ in row_labels]
-    ri = {label: i for i, label in enumerate(row_labels)}
-    ci = {label: i for i, label in enumerate(col_labels)}
-    for ra, cb in pairs:
-        counts[ri[ra]][ci[cb]] += 1
+    (ca, la), (cb, lb) = label_codes(a), label_codes(b)
+    both = (ca >= 0) & (cb >= 0)
+    counts = np.bincount(ca[both] * len(lb) + cb[both], minlength=len(la) * len(lb))
+    counts = counts.reshape(len(la), len(lb))
+    # only labels that occur in a jointly present row get a row or column
+    rows, cols = np.flatnonzero(counts.any(axis=1)), np.flatnonzero(counts.any(axis=0))
     return ContingencyTable(
-        tuple(row_labels), tuple(col_labels), tuple(tuple(row) for row in counts)
+        tuple(la[i] for i in rows.tolist()),
+        tuple(lb[j] for j in cols.tolist()),
+        tuple(map(tuple, counts[np.ix_(rows, cols)].tolist())),
     )
 
 

@@ -15,15 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .stats import _mode_smallest, quantile_type7, sample_variance
-from .table import (
-    Column,
-    Kind,
-    Table,
-    boolean_column,
-    categorical_column,
-    numeric_column,
-    numeric_values,
-)
+from .table import Column, Kind, Table, label_codes, numeric_values, numeric_with_mask
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +101,9 @@ def detect_outliers(c: Column, method: OutlierMethod) -> OutlierReport:
         upper = q3 + method.k * iqr
     else:
         raise TypeError(f"unsupported outlier method: {method!r}")
-    flagged = tuple(
-        i
-        for i, v in enumerate(c.values)
-        if v is not None and (v < lower or v > upper)
-    )
-    return OutlierReport(c.name, method, flagged, (lower, upper), len(c))
+    vals, _ = numeric_with_mask(c)
+    flagged = np.flatnonzero((vals < lower) | (vals > upper))  # NaN (missing) compares False
+    return OutlierReport(c.name, method, tuple(flagged.tolist()), (lower, upper), len(c))
 
 
 def handle_outliers(
@@ -131,20 +120,21 @@ def handle_outliers(
             f"stale outlier report: built for {report.column!r} ({report.length} rows), "
             f"applied to {c.name!r} ({len(c)} rows)"
         )
-    flagged = set(report.outlier_row_indices)
+    n = len(c)
+    flagged = np.zeros(n, bool)
+    rows = np.array(report.outlier_row_indices, dtype=np.int64)
+    flagged[rows[(rows >= 0) & (rows < n)]] = True
     if action is OutlierAction.CLIP:
         lower, upper = report.bounds
-        values = [
-            None if v is None else (min(max(v, lower), upper) if i in flagged else v)
-            for i, v in enumerate(c.values)
-        ]
-        return numeric_column(c.name, values)
+        vals, present = numeric_with_mask(c)
+        # min(max(v, lower), upper) with Python's tie rule: the first argument wins
+        raised = np.where(lower > vals, lower, vals)
+        clipped = np.where(upper < raised, upper, raised)
+        return Column.from_floats(c.name, Kind.NUMERIC, np.where(flagged, clipped, vals), present)
     if action is OutlierAction.FLAG:
-        return boolean_column(
-            f"{c.name}_outlier", [1 if i in flagged else 0 for i in range(len(c))]
-        )
+        return Column.from_floats(f"{c.name}_outlier", Kind.BOOLEAN, flagged, np.ones(n, bool))
     if action is OutlierAction.REMOVE:
-        return [i not in flagged for i in range(len(c))]
+        return (~flagged).tolist()
     raise TypeError(f"unsupported action: {action!r}")
 
 
@@ -189,10 +179,9 @@ def impute(c: Column, strategy: ImputeStrategy, context: Optional[Table] = None)
     type-matching value. A column with no present values rejects every
     statistical strategy.
     """
-    if None not in c.values:
+    if c.null_count == 0:
         return c
-    n_present = len(c) - c.null_count
-    if n_present == 0 and not isinstance(strategy, Constant):
+    if c.null_count == len(c) and not isinstance(strategy, Constant):
         raise ValueError(f"column {c.name!r} is entirely missing; use Constant")
 
     if isinstance(strategy, (Mean, Median)):
@@ -201,7 +190,12 @@ def impute(c: Column, strategy: ImputeStrategy, context: Optional[Table] = None)
         values = numeric_values(c)
         fill = float(np.mean(values)) if isinstance(strategy, Mean) else quantile_type7(np.sort(values), 50)
     elif isinstance(strategy, Mode):
-        fill = _mode_smallest(c.present_values())
+        if c.kind is Kind.CATEGORICAL:
+            codes, labels = label_codes(c)
+            # labels ascend, so the first most frequent is the smallest
+            fill = labels[int(np.argmax(np.bincount(codes[codes >= 0])))]
+        else:
+            fill = _mode_smallest(numeric_values(c).tolist())
     elif isinstance(strategy, Constant):
         fill = strategy.value
     elif isinstance(strategy, LinearRegression):
@@ -213,43 +207,47 @@ def impute(c: Column, strategy: ImputeStrategy, context: Optional[Table] = None)
     else:
         raise TypeError(f"unsupported strategy: {strategy!r}")
 
-    new_values = [fill if v is None else v for v in c.values]
-    return _rebuild(c, new_values)
+    return _fill_missing(c, fill)
 
 
-def _rebuild(c: Column, cells: Sequence) -> Column:
+def _fill_missing(c: Column, fill) -> Column:
+    """``c`` with every missing cell set to ``fill``, converted as the
+    ``*_column`` builders convert a cell (float, int or str)."""
+    if c.kind is Kind.CATEGORICAL:
+        codes, labels = label_codes(c)
+        return Column.from_codes(c.name, np.where(codes < 0, len(labels), codes), labels + (str(fill),))
+    vals, present = numeric_with_mask(c)
     if c.kind is Kind.NUMERIC:
-        return numeric_column(c.name, cells)
-    if c.kind is Kind.BOOLEAN:
-        return boolean_column(c.name, cells)
-    return categorical_column(c.name, cells)
+        value = float(fill)
+    else:  # an int other than 0 or 1 becomes NaN, which the boolean check rejects
+        value = {0: 0.0, 1: 1.0}.get(int(fill), math.nan)
+    return Column.from_floats(c.name, c.kind, np.where(present, vals, value), np.ones(len(c), bool))
 
 
 def _impute_regression(target: Column, predictor: Column) -> Column:
     if predictor.kind is not Kind.NUMERIC:
         raise ValueError(f"predictor {predictor.name!r} must be numeric")
-    pairs = tuple(zip(predictor.values, target.values))
-    xs, ys = [], []
-    for i, (xv, yv) in enumerate(pairs):
-        if yv is None:
-            if xv is None:
-                raise ValueError(
-                    f"predictor {predictor.name!r} is missing at row {i} where "
-                    f"{target.name!r} needs imputing"
-                )
-        elif xv is not None:
-            xs.append(xv)
-            ys.append(yv)
-    if len(xs) < 2:
+    xv, xm = numeric_with_mask(predictor)
+    yv, ym = numeric_with_mask(target)
+    unfillable = np.flatnonzero(~xm & ~ym)
+    if len(unfillable):
+        raise ValueError(
+            f"predictor {predictor.name!r} is missing at row {unfillable[0]} where "
+            f"{target.name!r} needs imputing"
+        )
+    both = xm & ym
+    if np.count_nonzero(both) < 2:
         raise ValueError("regression imputation needs >= 2 jointly present rows")
-    x = np.array(xs)
-    y = np.array(ys)
+    x = xv[both]
+    y = yv[both]
     sxx = float(np.sum((x - x.mean()) ** 2))
     if sxx == 0:
         raise ValueError(f"predictor {predictor.name!r} is constant; OLS slope undefined")
     b = float(np.sum((x - x.mean()) * (y - y.mean()))) / sxx
     a = float(y.mean()) - b * float(x.mean())
-    return numeric_column(target.name, [a + b * xv if yv is None else yv for xv, yv in pairs])
+    with np.errstate(all="ignore"):  # an overflow to inf fails the column check instead
+        filled = np.where(ym, yv, a + b * xv)
+    return Column.from_floats(target.name, Kind.NUMERIC, filled, np.ones(len(target), bool))
 
 
 # ---------------------------------------------------------------------------
@@ -287,36 +285,40 @@ def transform(c: Column, kind: TransformKind) -> Column:
     """Element-wise rescaling of a numeric column; missing stays missing."""
     if c.kind is not Kind.NUMERIC:
         raise ValueError(f"column {c.name!r} is not numeric")
-    values = numeric_values(c)
+    vals, present = numeric_with_mask(c)
+    values = vals[present]
     if len(values) == 0:
         raise ValueError(f"column {c.name!r} has no data")
 
-    if isinstance(kind, Log):
-        for i, v in enumerate(c.values):
-            if v is not None and v <= 0:
-                raise ValueError(f"column {c.name!r} row {i}: log of non-positive value {v}")
-        f = math.log
-    elif isinstance(kind, Sqrt):
-        for i, v in enumerate(c.values):
-            if v is not None and v < 0:
-                raise ValueError(f"column {c.name!r} row {i}: sqrt of negative value {v}")
-        f = math.sqrt
+    out = np.full(len(c), np.nan)
+    if isinstance(kind, (Log, Sqrt)):
+        is_log = isinstance(kind, Log)
+        bad = np.flatnonzero(vals <= 0 if is_log else vals < 0)
+        if len(bad):
+            i = bad[0]
+            what = "log of non-positive" if is_log else "sqrt of negative"
+            raise ValueError(f"column {c.name!r} row {i}: {what} value {float(vals[i])}")
+        # math.log per element: np.log need not round the same way
+        out[present] = list(map(math.log, values.tolist())) if is_log else np.sqrt(values)
     elif isinstance(kind, MinMax):
         lo, hi = float(np.min(values)), float(np.max(values))
         if lo == hi:
             raise ValueError(f"column {c.name!r}: zero range, MinMax undefined")
-        # normalize to [0, 1] first so extreme input ranges cannot overflow
-        f = lambda v: kind.lo + (v - lo) / (hi - lo) * (kind.hi - kind.lo)
+        # normalize to [0, 1] first so extreme input ranges cannot overflow;
+        # an overflow to inf fails the column check instead
+        with np.errstate(all="ignore"):
+            out[present] = kind.lo + (values - lo) / (hi - lo) * (kind.hi - kind.lo)
     elif isinstance(kind, ZScoreStandardize):
         if len(values) < 2 or sample_variance(values) == 0:
             raise ValueError(f"column {c.name!r}: zero variance, standardization undefined")
         mean = float(np.mean(values))
         std = math.sqrt(sample_variance(values))
-        f = lambda v: (v - mean) / std
+        with np.errstate(all="ignore"):
+            out[present] = (values - mean) / std
     else:
         raise TypeError(f"unsupported transform: {kind!r}")
 
-    return numeric_column(c.name, [None if v is None else f(v) for v in c.values])
+    return Column.from_floats(c.name, Kind.NUMERIC, out, present)
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +339,18 @@ def encode(t: Table, column: str, kind: EncodeKind) -> Table:
     c = t.column(column)
     if c.kind is not Kind.CATEGORICAL:
         raise ValueError(f"column {column!r} is {c.kind.value}, not categorical")
-    labels = sorted(set(c.present_values()))
+    codes, labels = label_codes(c)  # ascending labels, each occurring
     if not labels:
         raise ValueError(f"column {column!r} has no non-missing labels to encode")
+    present = codes >= 0
 
     if kind is EncodeKind.LABEL:
-        code = {label: float(i) for i, label in enumerate(labels)}
-        new = numeric_column(column, [None if v is None else code[v] for v in c.values])
-        return t.replace_column(new)
+        return t.replace_column(Column.from_floats(column, Kind.NUMERIC, codes, present))
 
     if kind is EncodeKind.ONE_HOT:
         generated = [
-            boolean_column(
-                f"{column}={label}",
-                [None if v is None else int(v == label) for v in c.values],
-            )
-            for label in labels
+            Column.from_floats(f"{column}={label}", Kind.BOOLEAN, codes == k, present)
+            for k, label in enumerate(labels)
         ]
         cols: list[Column] = []
         for existing in t.columns:
@@ -418,9 +416,9 @@ def bin_column(c: Column, spec: BinSpec) -> Column:
         raise ValueError(f"column {c.name!r} has no data to bin")
     lo, hi = float(np.min(values)), float(np.max(values))
 
+    vals, present = numeric_with_mask(c)
     if isinstance(spec, (EqualWidth, Quantile)) and lo == hi:
-        label = _bin_label(lo, hi, last=True)
-        return categorical_column(c.name, [None if v is None else label for v in c.values])
+        return Column.from_codes(c.name, np.where(present, 0, -1), [_bin_label(lo, hi, last=True)])
     if isinstance(spec, EqualWidth):
         edges = np.linspace(lo, hi, spec.n + 1)
     elif isinstance(spec, Quantile):
@@ -442,11 +440,8 @@ def bin_column(c: Column, spec: BinSpec) -> Column:
     n_bins = len(edges) - 1
     labels = [_bin_label(edges[i], edges[i + 1], i == n_bins - 1) for i in range(n_bins)]
 
-    def assign(v: float) -> str:
-        i = int(np.searchsorted(edges, v, side="right")) - 1
-        return labels[min(max(i, 0), n_bins - 1)]
-
-    return categorical_column(c.name, [None if v is None else assign(v) for v in c.values])
+    bins = np.clip(np.searchsorted(edges, vals, side="right") - 1, 0, n_bins - 1)
+    return Column.from_codes(c.name, np.where(present, bins, -1), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -481,25 +476,26 @@ def engineer(t: Table, specs: Sequence[FeatureSpec]) -> Table:
                 if col.kind is not Kind.NUMERIC:
                     raise ValueError(f"column {col.name!r} is not numeric")
             name = f"{spec.a}*{spec.b}"
-            cells = [
-                None if va is None or vb is None else va * vb
-                for va, vb in zip(ca.values, cb.values)
-            ]
+            (va, ma), (vb, mb) = numeric_with_mask(ca), numeric_with_mask(cb)
+            present = ma & mb
+            with np.errstate(all="ignore"):
+                out = va * vb
         elif isinstance(spec, Power):
             ca = t.column(spec.a)
             if ca.kind is not Kind.NUMERIC:
                 raise ValueError(f"column {ca.name!r} is not numeric")
             name = f"{spec.a}^{spec.k:g}"
-            cells = [
-                None if v is None else _checked_pow(v, spec.k, name, i)
-                for i, v in enumerate(ca.values)
-            ]
+            va, present = numeric_with_mask(ca)
+            rows = np.flatnonzero(present)
+            # Python's float power per cell: it raises where numpy would not
+            out = np.full(len(ca), np.nan)
+            out[rows] = [_checked_pow(v, spec.k, name, i) for i, v in zip(rows.tolist(), va[rows].tolist())]
         else:
             raise TypeError(f"unsupported feature spec: {spec!r}")
-        for i, v in enumerate(cells):
-            if v is not None and not math.isfinite(v):
-                raise ValueError(f"feature {name!r} row {i}: non-finite result")
-        new_cols.append(numeric_column(name, cells))
+        bad = np.flatnonzero(present & ~np.isfinite(out))
+        if len(bad):
+            raise ValueError(f"feature {name!r} row {bad[0]}: non-finite result")
+        new_cols.append(Column.from_floats(name, Kind.NUMERIC, out, present))
     return t.append_columns(new_cols)
 
 

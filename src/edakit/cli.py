@@ -216,7 +216,7 @@ def cmd_plot(args) -> int:
         c = t.column(_require(args.column, "--column"))
         summary = stats.summarize(c)
         rep = cleanse.detect_outliers(c, cleanse.Iqr())
-        beyond = [c.values[i] for i in rep.outlier_row_indices]
+        beyond = table.numeric_with_mask(c)[0][list(rep.outlier_row_indices)].tolist()
         doc = viz.plot_box(summary, points_beyond=beyond, title=args.title or c.name)
     elif kind == "bar":
         c = t.column(_require(args.column, "--column"))

@@ -1,12 +1,18 @@
 """Typed columnar tables: CSV ingestion, schema inference, column operations.
 
 A Table is an immutable ordered collection of typed columns of equal length.
-Cells are plain Python values (floats for numeric, strings for categorical,
-0/1 ints for boolean); ``None`` is the one marker of a missing cell.
+Each column is stored as arrays in the Arrow columnar layout: a numeric or
+boolean column holds a float64 array (NaN at missing cells, 0.0/1.0 for
+boolean) and a bool present mask; a categorical column holds int64 codes
+(-1 where missing) into the tuple of its distinct labels, in ascending
+``str`` order, each of which occurs. The stored arrays are read-only, so
+``numeric_with_mask`` and ``label_codes`` hand them out without copying.
+``Column.values`` derives plain Python cells (floats, strings, 0/1 ints,
+``None`` where missing) on each read; no operation in the package uses it.
 
-``read_csv`` and ``infer_schema`` share one column builder that strips, tests
-for missing and parses each CSV cell once; the parse that types a column also
-yields its values.
+``read_csv`` and ``infer_schema`` share one column builder. It strips each
+CSV cell once, types the column from the set of its distinct cells, and
+converts the column in whole-column passes.
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -62,58 +69,186 @@ class CsvOptions:
         return frozenset(t.strip().casefold() for t in self.missing_tokens)
 
 
-@dataclass(frozen=True)
+_CELL_RULE = {
+    Kind.NUMERIC: "numeric cell must be a finite float",
+    Kind.CATEGORICAL: "categorical cell must be non-empty text",
+    Kind.BOOLEAN: "boolean cell must be int 0 or 1",
+}
+
+
+def _check_name(name: str) -> None:
+    if not name:
+        raise ValueError("column name must be non-empty")
+
+
+def _cell_ok(kind: Kind, v) -> bool:
+    if kind is Kind.NUMERIC:
+        return isinstance(v, float) and math.isfinite(v)
+    if kind is Kind.CATEGORICAL:
+        return isinstance(v, str) and v != ""
+    return v in (0, 1) and isinstance(v, int) and not isinstance(v, bool)
+
+
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Column:
-    """One named, typed column. ``values[i] is None`` exactly where missing."""
+    """One named, typed column, stored as read-only arrays (see the module doc).
+
+    ``Column(name, kind, cells)`` builds from Python cells, ``None`` marking a
+    missing one, and checks every present cell: numeric cells are finite
+    floats, boolean cells int 0 or 1, categorical cells non-empty text. A bad
+    cell raises ``ValueError`` naming its row. :meth:`from_floats` and
+    :meth:`from_codes` build from arrays with the same checks.
+    """
 
     name: str
     kind: Kind
-    values: tuple
+    _data: np.ndarray  # float64 values, or int64 codes for a categorical column
+    _present: np.ndarray
+    _labels: tuple  # a categorical column's labels, else ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("column name must be non-empty")
-        for i, v in enumerate(self.values):
-            if v is None:
-                continue
-            if self.kind is Kind.NUMERIC:
-                if not isinstance(v, float) or not math.isfinite(v):
-                    raise ValueError(f"column {self.name!r} row {i}: numeric cell must be a finite float")
-            elif self.kind is Kind.CATEGORICAL:
-                if not isinstance(v, str) or v == "":
-                    raise ValueError(f"column {self.name!r} row {i}: categorical cell must be non-empty text")
-            else:
-                if v not in (0, 1) or isinstance(v, bool) or not isinstance(v, int):
-                    raise ValueError(f"column {self.name!r} row {i}: boolean cell must be int 0 or 1")
+    def __init__(self, name: str, kind: Kind, values: Sequence) -> None:
+        _check_name(name)
+        cells = values if isinstance(values, (list, tuple)) else list(values)
+        n = len(cells)
+        wanted = {Kind.NUMERIC: float, Kind.CATEGORICAL: str, Kind.BOOLEAN: int}[kind]
+        types = set(map(type, cells)) - {type(None)}
+        if not all(issubclass(t, wanted) and not issubclass(t, bool) for t in types):
+            row = next(i for i, v in enumerate(cells) if v is not None and not _cell_ok(kind, v))
+            raise ValueError(f"column {name!r} row {row}: {_CELL_RULE[kind]}")
+        if kind is Kind.CATEGORICAL:
+            labels = list(set(cells) - {None})
+            index = {label: i for i, label in enumerate(labels)}
+            index[None] = -1
+            built = Column.from_codes(name, np.fromiter(map(index.__getitem__, cells), np.int64, n), labels)
+        else:
+            present = np.fromiter(map(operator.is_not, cells, repeat(None)), bool, n)
+            if kind is Kind.NUMERIC:
+                data = np.array(cells, dtype=float)
+            else:  # any int but 0 and 1 maps to 2.0, which the check rejects
+                data = np.fromiter(map({0: 0.0, 1: 1.0, None: math.nan}.get, cells, repeat(2.0)), float, n)
+            built = Column.from_floats(name, kind, data, present)
+        self._set(name, kind, built._data, built._present, built._labels)
+
+    def _set(self, name: str, kind: Kind, data: np.ndarray, present: np.ndarray, labels: tuple) -> None:
+        _check_name(name)
+        data.flags.writeable = False
+        present.flags.writeable = False
+        for slot, value in (("name", name), ("kind", kind), ("_data", data),
+                            ("_present", present), ("_labels", labels)):
+            object.__setattr__(self, slot, value)
+
+    @classmethod
+    def from_floats(cls, name: str, kind: Kind, values, present) -> "Column":
+        """Numeric or boolean column from float values and a present mask.
+
+        Cells where ``present`` is False are missing, whatever ``values`` holds
+        there. Present cells must be finite (numeric) or exactly 0.0 or 1.0
+        (boolean). Both inputs are copied.
+        """
+        if kind is Kind.CATEGORICAL:
+            raise ValueError(f"column {name!r}: categorical columns are built from codes")
+        present = np.array(present, dtype=bool)
+        data = np.where(present, np.asarray(values, dtype=float), np.nan)
+        if kind is Kind.NUMERIC:
+            bad = present & ~np.isfinite(data)
+        else:
+            bad = present & (data != 0.0) & (data != 1.0)
+        if bad.any():
+            raise ValueError(f"column {name!r} row {np.flatnonzero(bad)[0]}: {_CELL_RULE[kind]}")
+        col = cls.__new__(cls)
+        col._set(name, kind, data, present, ())
+        return col
+
+    @classmethod
+    def from_codes(cls, name: str, codes, labels: Sequence[str]) -> "Column":
+        """Categorical column from int codes (-1 where missing) into ``labels``.
+
+        ``labels`` may repeat, go unused or come in any order: the column keeps
+        the distinct labels that occur, in ascending order, and recodes.
+        """
+        codes = np.array(codes, dtype=np.int64)
+        if codes.size and (codes.min() < -1 or codes.max() >= len(labels)):
+            raise ValueError(f"column {name!r}: codes must lie in [-1, {len(labels)})")
+        present = codes >= 0
+        used = np.bincount(codes[present], minlength=len(labels)) > 0
+        kept = sorted({labels[i] for i in np.flatnonzero(used).tolist()})
+        if list(labels) != kept:
+            position = {label: k for k, label in enumerate(kept)}
+            remap = np.array([position.get(label, -1) for label in labels] + [-1], dtype=np.int64)
+            codes = remap[codes]  # a -1 code picks the trailing -1
+        if kept and kept[0] == "":
+            raise ValueError(f"column {name!r} row {np.flatnonzero(codes == 0)[0]}: {_CELL_RULE[Kind.CATEGORICAL]}")
+        col = cls.__new__(cls)
+        col._set(name, Kind.CATEGORICAL, codes, present, tuple(kept))
+        return col
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._present)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Column):
+            return NotImplemented
+        return (
+            (self.name, self.kind, self._labels) == (other.name, other.kind, other._labels)
+            and np.array_equal(self._present, other._present)
+            and np.array_equal(self._data, other._data, equal_nan=True)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.kind, len(self), self._labels))
+
+    def __reduce__(self):
+        # copies and unpickling rebuild through the checked constructors, whose arrays are read-only
+        if self.kind is Kind.CATEGORICAL:
+            return Column.from_codes, (self.name, self._data, self._labels)
+        return Column.from_floats, (self.name, self.kind, self._data, self._present)
+
+    def __repr__(self) -> str:
+        return f"Column({self.name!r}, {self.kind}, {self.values!r})"
+
+    @property
+    def values(self) -> tuple:
+        """The cells as a tuple of Python values, ``None`` where missing.
+
+        Derived from the arrays on every read and never cached.
+        """
+        if self.kind is Kind.NUMERIC:
+            cells = self._data.tolist()
+            for i in np.flatnonzero(~self._present).tolist():
+                cells[i] = None
+            return tuple(cells)
+        codes, labels = label_codes(self)
+        lookup = (0, 1, None) if self.kind is Kind.BOOLEAN else labels + (None,)
+        return tuple(map(lookup.__getitem__, codes.tolist()))
 
     @property
     def missing(self) -> tuple[bool, ...]:
-        """Per-row missing flags, derived from ``values``."""
-        return tuple(v is None for v in self.values)
+        """Per-row missing flags."""
+        return tuple((~self._present).tolist())
 
     @property
     def null_count(self) -> int:
-        return self.values.count(None)
+        return len(self) - int(np.count_nonzero(self._present))
 
     def present_values(self) -> list:
         """Non-missing cell values, in row order."""
-        return [v for v in self.values if v is not None]
+        present = self._data[self._present]
+        if self.kind is Kind.CATEGORICAL:
+            return list(map(self._labels.__getitem__, present.tolist()))
+        return (present if self.kind is Kind.NUMERIC else present.astype(np.int64)).tolist()
 
 
 def numeric_column(name: str, cells: Sequence[Optional[float]]) -> Column:
     """Build a Numeric column; None entries become missing cells."""
-    return Column(name, Kind.NUMERIC, tuple(None if v is None else float(v) for v in cells))
+    return Column(name, Kind.NUMERIC, [None if v is None else float(v) for v in cells])
 
 
 def categorical_column(name: str, cells: Sequence[Optional[str]]) -> Column:
-    return Column(name, Kind.CATEGORICAL, tuple(None if v is None else str(v) for v in cells))
+    return Column(name, Kind.CATEGORICAL, [None if v is None else str(v) for v in cells])
 
 
 def boolean_column(name: str, cells: Sequence[Optional[int]]) -> Column:
-    return Column(name, Kind.BOOLEAN, tuple(None if v is None else int(v) for v in cells))
+    return Column(name, Kind.BOOLEAN, [None if v is None else int(v) for v in cells])
 
 
 def numeric_values(c: Column) -> np.ndarray:
@@ -123,12 +258,21 @@ def numeric_values(c: Column) -> np.ndarray:
 
 
 def numeric_with_mask(c: Column) -> tuple[np.ndarray, np.ndarray]:
-    """Full-length float array (NaN at missing cells) plus a present mask."""
+    """The stored float array (NaN at missing cells) and present mask, read-only."""
     if c.kind is Kind.CATEGORICAL:
         raise ValueError(f"column {c.name!r} is categorical, not numeric")
-    # numpy turns None into NaN; present cells are finite (Column checks it)
-    vals = np.array(c.values, dtype=float)
-    return vals, ~np.isnan(vals)
+    return c._data, c._present
+
+
+def label_codes(c: Column) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Int codes (-1 where missing) into the ascending text labels of a
+    categorical or boolean column. A boolean column's labels are ("0", "1"),
+    whether or not both occur."""
+    if c.kind is Kind.CATEGORICAL:
+        return c._data, c._labels
+    if c.kind is Kind.BOOLEAN:
+        return np.where(c._present, c._data, -1).astype(np.int64), ("0", "1")
+    raise ValueError(f"column {c.name!r} is numeric, not categorical or boolean")
 
 
 @dataclass(frozen=True)
@@ -214,35 +358,52 @@ class FrequencyTable:
         ]
 
 
-def _finite_reals(cells: list[str], distinct: set[str]) -> Optional[list[float]]:
-    """``cells`` as floats, or None unless each is an ASCII, "_"-free finite real."""
-    joined = "".join(distinct)
+def _finite_reals(stripped: list[str], labels: set[str], present: np.ndarray) -> Optional[np.ndarray]:
+    """The column as floats (NaN where missing), or None unless each present
+    cell is an ASCII, "_"-free finite real. ``labels`` are the distinct
+    present cells."""
+    joined = "".join(labels)
     if not joined.isascii() or "_" in joined:
         return None
+    all_present = present.all()
     try:
-        values = [float(s) for s in cells]
+        parsed = np.fromiter(map(float, stripped if all_present else compress(stripped, present)), float)
     except ValueError:
         return None
-    return values if np.isfinite(values).all() else None
+    if not np.isfinite(parsed).all():
+        return None
+    if all_present:
+        return parsed
+    values = np.full(len(stripped), np.nan)
+    values[present] = parsed
+    return values
 
 
 def _typed_column(name: str, cells: Sequence[str], opts: CsvOptions, missing_set: frozenset) -> Column:
     """Type one raw text column by the rules of :func:`infer_schema`."""
-    # each stripped cell, or None where it is a missing token
-    marked = [None if s.casefold() in missing_set else s for s in (c.strip() for c in cells)]
-    present = [s for s in marked if s is not None]
-    distinct = set(present)
-    if distinct and distinct <= {"0", "1"} and (name in opts.boolean_columns or len(distinct) == 2):
-        kind, parsed = Kind.BOOLEAN, [int(s) for s in present]
-    elif distinct and (parsed := _finite_reals(present, distinct)) is not None:
-        kind = Kind.NUMERIC
-    else:
-        kind = Kind.CATEGORICAL
-        parsed = present if opts.trim_whitespace else [c for c, s in zip(cells, marked) if s is not None]
-        if opts.canonical_case:
-            parsed = list(map(getattr(str, opts.canonical_case), parsed))
-    it = iter(parsed)
-    return Column(name, kind, tuple(None if s is None else next(it) for s in marked))
+    n = len(cells)
+    stripped = list(map(str.strip, cells))
+    distinct = set(stripped)
+    missing = set(compress(distinct, map(missing_set.__contains__, map(str.casefold, distinct))))
+    labels = distinct - missing  # the distinct present cells
+    present = ~np.fromiter(map(missing.__contains__, stripped), bool, n) if missing else np.ones(n, bool)
+    if labels and labels <= {"0", "1"} and (name in opts.boolean_columns or len(labels) == 2):
+        lookup = {"0": 0.0, "1": 1.0, **dict.fromkeys(missing, math.nan)}
+        return Column.from_floats(name, Kind.BOOLEAN, np.fromiter(map(lookup.__getitem__, stripped), float, n), present)
+    if labels and (values := _finite_reals(stripped, labels, present)) is not None:
+        return Column.from_floats(name, Kind.NUMERIC, values, present)
+    source = stripped
+    if not opts.trim_whitespace:  # the labels are the raw cells; missing is still judged stripped
+        source = cells
+        raw = set(cells)
+        missing = set(compress(raw, map(missing.__contains__, map(str.strip, raw))))
+        labels = raw - missing
+    texts = list(labels)
+    index = {s: i for i, s in enumerate(texts)}
+    index.update(dict.fromkeys(missing, -1))
+    if opts.canonical_case:
+        texts = list(map(getattr(str, opts.canonical_case), texts))
+    return Column.from_codes(name, np.fromiter(map(index.__getitem__, source), np.int64, n), texts)
 
 
 def infer_schema(
@@ -304,12 +465,15 @@ def read_csv(path: Union[str, Path], options: Optional[CsvOptions] = None) -> Ta
                 )
             rows.append(row)
 
+    n_rows = len(rows)
+    raw = list(zip(*rows)) if rows else [()] * n_cols
+    del rows  # the row lists go; the cell strings live on in the column tuples
     missing_set = opts._missing_set()
-    columns = tuple(
-        _typed_column(name, [row[j] for row in rows], opts, missing_set)
-        for j, name in enumerate(names)
-    )
-    return Table(path.stem, columns, len(rows))
+    columns = []
+    for j, name in enumerate(names):
+        columns.append(_typed_column(name, raw[j], opts, missing_set))
+        raw[j] = None  # free each column's text once it is typed
+    return Table(path.stem, tuple(columns), n_rows)
 
 
 def _format_numeric(v: float) -> str:
@@ -317,6 +481,21 @@ def _format_numeric(v: float) -> str:
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
+
+
+# rows formatted per write_csv_to step, which bounds the text held at once
+_WRITE_ROWS = 8192
+
+
+def _text_cells(c: Column, rows: slice, missing_token: str) -> list[str]:
+    """The CSV text of the cells of a column in ``rows``."""
+    if c.kind is Kind.NUMERIC:
+        vals, present = (a[rows] for a in numeric_with_mask(c))
+        texts = np.full(len(vals), missing_token, dtype=object)
+        texts[present] = list(map(_format_numeric, vals[present].tolist()))
+        return texts.tolist()
+    codes, labels = label_codes(c)
+    return np.array(labels + (missing_token,), dtype=object)[codes[rows]].tolist()
 
 
 def write_csv_to(t: Table, fh, options: Optional[CsvOptions] = None) -> None:
@@ -330,25 +509,17 @@ def write_csv_to(t: Table, fh, options: Optional[CsvOptions] = None) -> None:
     missing_set = opts._missing_set()
     for c in t.columns:
         if c.kind is Kind.CATEGORICAL:
-            bad = sorted(v for v in set(c.values) - {None} if v.strip().casefold() in missing_set)
+            bad = [v for v in label_codes(c)[1] if v.strip().casefold() in missing_set]
             if bad:
                 raise ValueError(f"column {c.name!r}: values {bad} would read back as missing")
     missing_token = opts.missing_tokens[0] if opts.missing_tokens else ""
     writer = csv.writer(fh, delimiter=opts.delimiter, lineterminator="\n")
     writer.writerow([c.name for c in t.columns])
-    for i in range(t.row_count):
-        row = []
-        for c in t.columns:
-            v = c.values[i]
-            if v is None:
-                row.append(missing_token)
-            elif c.kind is Kind.NUMERIC:
-                row.append(_format_numeric(v))
-            elif c.kind is Kind.BOOLEAN:
-                row.append(str(v))
-            else:
-                row.append(v)
-        writer.writerow(row)
+    if not t.columns:
+        writer.writerows(repeat((), t.row_count))
+    for start in range(0, t.row_count, _WRITE_ROWS):
+        rows = slice(start, start + _WRITE_ROWS)
+        writer.writerows(zip(*(_text_cells(c, rows, missing_token) for c in t.columns)))
 
 
 def write_csv(t: Table, path: Union[str, Path], options: Optional[CsvOptions] = None) -> None:
@@ -386,13 +557,18 @@ def select_columns(t: Table, names: Sequence[str]) -> Table:
     return t.with_columns(t.column(n) for n in names)
 
 
+def _take(c: Column, rows: np.ndarray) -> Column:
+    if c.kind is Kind.CATEGORICAL:
+        return Column.from_codes(c.name, c._data[rows], c._labels)
+    return Column.from_floats(c.name, c.kind, c._data[rows], c._present[rows])
+
+
 def filter_rows(t: Table, keep: Sequence[bool]) -> Table:
     """Table with only the rows where ``keep`` is True (outlier removal etc.)."""
     if len(keep) != t.row_count:
         raise ValueError(f"mask length {len(keep)} != row count {t.row_count}")
-    idx = [i for i, k in enumerate(keep) if k]
-    cols = tuple(Column(c.name, c.kind, tuple(c.values[i] for i in idx)) for c in t.columns)
-    return Table(t.name, cols, len(idx))
+    rows = np.flatnonzero(np.fromiter(map(bool, keep), bool, len(keep)))
+    return Table(t.name, tuple(_take(c, rows) for c in t.columns), len(rows))
 
 
 def null_counts(t: Table) -> Schema:
@@ -412,7 +588,8 @@ def value_counts(c: Column) -> FrequencyTable:
             f"column {c.name!r} is numeric; value_counts is for categorical/boolean "
             "columns, use a histogram instead"
         )
-    counts = Counter(str(v) for v in c.values if v is not None)
-    total = sum(counts.values())
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    codes, labels = label_codes(c)
+    counts = np.bincount(codes[codes >= 0], minlength=len(labels)).tolist()
+    total = sum(counts)
+    ordered = sorted(((k, n) for k, n in zip(labels, counts) if n), key=lambda kv: (-kv[1], kv[0]))
     return FrequencyTable(tuple(FreqRow(k, n, n / total) for k, n in ordered))

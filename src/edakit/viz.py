@@ -12,6 +12,8 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 from xml.sax.saxutils import escape, quoteattr
 
+import numpy as np
+
 from .assoc import CorrelationMatrix, _joint_present
 from .stats import Histogram, SummaryStats
 from .table import Column, FrequencyTable
@@ -70,9 +72,16 @@ class _Canvas:
         )
 
     def circle(self, cx: float, cy: float, r: float, fill: str, cls: Optional[str] = None) -> None:
+        self.circles([cx], [cy], r, fill, cls)
+
+    def circles(
+        self, cxs: Sequence[float], cys: Sequence[float], r: float, fill: str, cls: Optional[str] = None
+    ) -> None:
+        """One circle per (cx, cy) pair; the shared attributes are formatted once."""
         c = f' class={quoteattr(cls)}' if cls else ""
-        self.parts.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="{fill}"{c}/>\n'
+        tail = f'" r="{_fmt(r)}" fill="{fill}"{c}/>\n'
+        self.parts.extend(
+            f'<circle cx="{a}" cy="{b}{tail}' for a, b in zip(map(_fmt, cxs), map(_fmt, cys))
         )
 
     def text(self, x: float, y: float, s: str, anchor: str = "start", size: int = 11) -> None:
@@ -94,7 +103,7 @@ def _x_scale(lo: float, hi: float):
     span = hi - lo
     inner = WIDTH - 2 * MARGIN
 
-    def sx(v: float) -> float:
+    def sx(v):
         if span == 0:
             return MARGIN + inner / 2
         return MARGIN + (v - lo) / span * inner
@@ -106,7 +115,7 @@ def _y_scale(lo: float, hi: float):
     span = hi - lo
     inner = HEIGHT - 2 * MARGIN
 
-    def sy(v: float) -> float:
+    def sy(v):
         if span == 0:
             return HEIGHT - MARGIN - inner / 2
         return HEIGHT - MARGIN - (v - lo) / span * inner
@@ -208,7 +217,8 @@ def plot_scatter(x: Column, y: Column, title: str = "") -> SvgDoc:
     cv.axes()
 
     def padded(vals):
-        lo, hi = float(min(vals)), float(max(vals))
+        # the first of equal extremes, as min() and max() pick (0.0 vs -0.0)
+        lo, hi = float(vals[np.argmin(vals)]), float(vals[np.argmax(vals)])
         pad = 0.05 * (hi - lo) if hi > lo else 0.5
         return lo - pad, hi + pad
 
@@ -216,8 +226,10 @@ def plot_scatter(x: Column, y: Column, title: str = "") -> SvgDoc:
     ylo, yhi = padded(ys)
     sx = _x_scale(xlo, xhi)
     sy = _y_scale(ylo, yhi)
-    for a, b in zip(xs, ys):
-        cv.circle(sx(float(a)), sy(float(b)), 2, "#4878a8", cls="pt")
+    # the scales map whole arrays element by element, in scalar arithmetic order
+    px = np.broadcast_to(sx(xs), xs.shape).tolist()
+    py = np.broadcast_to(sy(ys), ys.shape).tolist()
+    cv.circles(px, py, 2, "#4878a8", cls="pt")
     cv.text(WIDTH / 2, HEIGHT - MARGIN / 4, x.name, anchor="middle")
     cv.text(MARGIN / 4, HEIGHT / 2, y.name, anchor="middle")
     for v in (xlo, xhi):

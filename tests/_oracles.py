@@ -260,3 +260,94 @@ def o_dbscan_lists(x, eps, min_pts):
         d2 = np.sum((x[core_nbrs] - x[i]) ** 2, axis=1)
         labels[i] = labels[core_nbrs[d2 == d2.min()]].min()
     return tuple(int(v) for v in labels)
+
+
+# The cell-by-cell CSV reader that array-backed columns replaced, kept as it
+# was apart from returning plain (name, kind, cells) triples.
+
+
+def _o_finite_reals(cells, distinct):
+    joined = "".join(distinct)
+    if not joined.isascii() or "_" in joined:
+        return None
+    try:
+        values = [float(s) for s in cells]
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _o_check_cells(name, kind, values):
+    for i, v in enumerate(values):
+        if v is None:
+            continue
+        if kind == "numeric":
+            if not isinstance(v, float) or not math.isfinite(v):
+                raise ValueError(f"column {name!r} row {i}: numeric cell must be a finite float")
+        elif kind == "categorical":
+            if not isinstance(v, str) or v == "":
+                raise ValueError(f"column {name!r} row {i}: categorical cell must be non-empty text")
+        else:
+            if v not in (0, 1) or isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"column {name!r} row {i}: boolean cell must be int 0 or 1")
+
+
+def _o_typed_column(name, cells, opts, missing_set):
+    marked = [None if s.casefold() in missing_set else s for s in (c.strip() for c in cells)]
+    present = [s for s in marked if s is not None]
+    distinct = set(present)
+    if distinct and distinct <= {"0", "1"} and (name in opts.boolean_columns or len(distinct) == 2):
+        kind, parsed = "boolean", [int(s) for s in present]
+    elif distinct and (parsed := _o_finite_reals(present, distinct)) is not None:
+        kind = "numeric"
+    else:
+        kind = "categorical"
+        parsed = present if opts.trim_whitespace else [c for c, s in zip(cells, marked) if s is not None]
+        if opts.canonical_case:
+            parsed = list(map(getattr(str, opts.canonical_case), parsed))
+    it = iter(parsed)
+    values = tuple(None if s is None else next(it) for s in marked)
+    _o_check_cells(name, kind, values)
+    return name, kind, values
+
+
+def o_read_csv_cells(path, opts):
+    """(name, kind value, cells) per column of a CSV, typed cell by cell (the
+    library reader before array-backed columns), or the ValueError text.
+    ``opts`` is a CsvOptions."""
+    import csv
+    from pathlib import Path
+
+    path = Path(path)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=opts.delimiter)
+            try:
+                first = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: no header") from None
+            if opts.has_header:
+                names = [h.strip() for h in first]
+                rows = []
+            else:
+                names = [f"col{i}" for i in range(len(first))]
+                rows = [first]
+            if any(not n for n in names):
+                raise ValueError(f"{path}: empty header name")
+            dupes = {n for n in names if names.count(n) > 1}
+            if dupes:
+                raise ValueError(f"{path}: duplicate header names: {sorted(dupes)}")
+            n_cols = len(names)
+            for row in reader:
+                if len(row) != n_cols:
+                    raise ValueError(
+                        f"{path} line {reader.line_num}: expected {n_cols} fields, got {len(row)}"
+                    )
+                rows.append(row)
+        missing_set = frozenset(t.strip().casefold() for t in opts.missing_tokens)
+        return [
+            _o_typed_column(name, [row[j] for row in rows], opts, missing_set)
+            for j, name in enumerate(names)
+        ]
+    except ValueError as exc:
+        return str(exc)

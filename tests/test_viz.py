@@ -233,3 +233,76 @@ def self_matrix():
         3,
     )
     return correlation_matrix(t, CorrMethod.PEARSON)
+
+
+def scatter_reference(x, y, title=""):
+    """plot_scatter's document built one point at a time, with Python's min
+    and max and the scale arithmetic written out per point."""
+    from edakit import viz
+
+    pairs = [(a, b) for a, b in zip(x.values, y.values) if a is not None and b is not None]
+    w, h, m = viz.WIDTH, viz.HEIGHT, viz.MARGIN
+    cv = viz._Canvas(title)
+    cv.axes()
+
+    def padded(vals):
+        lo, hi = float(min(vals)), float(max(vals))
+        pad = 0.05 * (hi - lo) if hi > lo else 0.5
+        return lo - pad, hi + pad
+
+    xlo, xhi = padded([a for a, _ in pairs])
+    ylo, yhi = padded([b for _, b in pairs])
+
+    def sx(v):
+        if xhi - xlo == 0:
+            return m + (w - 2 * m) / 2
+        return m + (v - xlo) / (xhi - xlo) * (w - 2 * m)
+
+    def sy(v):
+        if yhi - ylo == 0:
+            return h - m - (h - 2 * m) / 2
+        return h - m - (v - ylo) / (yhi - ylo) * (h - 2 * m)
+
+    for a, b in pairs:
+        cv.circle(sx(a), sy(b), 2, "#4878a8", cls="pt")
+    cv.text(w / 2, h - m / 4, x.name, anchor="middle")
+    cv.text(m / 4, h / 2, y.name, anchor="middle")
+    for v in (xlo, xhi):
+        cv.text(sx(v), h - m + 16, viz._tick(v), anchor="middle")
+    for v in (ylo, yhi):
+        cv.text(m - 6, sy(v) + 4, viz._tick(v), anchor="end")
+    return cv.finish().body
+
+
+class TestScatterMatchesPerPoint:
+    @staticmethod
+    def check(xs, ys):
+        x, y = numeric_column("x", xs), numeric_column("y", ys)
+        assert plot_scatter(x, y, "s").body == scatter_reference(x, y, "s")
+
+    def test_random_floats(self):
+        import random
+
+        rng = random.Random(55)
+        for _ in range(60):
+            n = rng.randint(1, 300)
+            scale = rng.choice([1e-3, 1.0, 650.0, 1e6])
+            draw = lambda: None if rng.random() < 0.1 else round(rng.gauss(0, scale), rng.randint(0, 6))
+            self.check([draw() for _ in range(n)], [draw() for _ in range(n)])
+
+    def test_one_distinct_value(self):
+        self.check([3.0] * 5, [1.0, 2.0, 2.0, 7.5, -1.0])
+        self.check([1.0, 2.0, 2.0, 7.5, -1.0], [-4.0] * 5)
+        self.check([2.0], [2.0])
+
+    def test_zero_span_after_padding(self):
+        # 1e300 - 0.5 == 1e300, so the padded span is 0 and the centre is used
+        self.check([1e300] * 3, [0.0, 1.0, 2.0])
+        self.check([0.0, 1.0, 2.0], [-1e300] * 3)
+
+    def test_signed_zeros_and_minus_zero_ticks(self):
+        # pad underflows to 0, so the first of -0.0 and 0.0 becomes the
+        # low tick, which prints "-0" or "0"
+        self.check([-0.0, 5e-324, 0.0], [0.0, -0.0, 5e-324])
+        self.check([0.0, 5e-324, -0.0], [5e-324, 0.0, -0.0])
+        self.check([-0.0, 0.0, -1e-9, 1e-9], [-0.0, -0.0, 0.0, 0.0])
