@@ -6,11 +6,10 @@ Times Kendall's tau-b on one column pair (CreditScore, Age),
 agglomerative clustering of the CreditScore,Age matrix under each linkage,
 DBSCAN of the Balance,Age matrix (eps 500, min_pts 10, as in the
 benchmark), ``read_csv`` and ``write_csv`` of the whole table, and
-``churn_pipeline`` on it, at each size in --sizes (--kernels picks a
-subset by name). ``read_csv`` reads a file that ``write_csv`` wrote to a
-temporary directory before timing. Every input is a
-``scripts/make_fixture`` table built with ``N`` set to the size and
-``SEED = 5``. A time is the median of --repeats calls; building the table
+``churn_pipeline`` on it, at each size in --sizes. ``read_csv`` reads a
+file that ``write_csv`` wrote to a temporary directory before timing. Every
+input is a ``scripts/make_fixture`` table built with ``N`` set to the size
+and ``SEED = 5``. A time is the median of --repeats calls; building the table
 is not timed. One more call runs under ``tracemalloc`` for the kernel's
 peak of traced memory, which is reported in MB.
 
@@ -23,7 +22,6 @@ plus a block of rows of about 1 MB.
 Prints one JSON object. Usage (from the repository root):
 
     python3 scripts/scaling.py [--sizes 1000,2000,5000,10000] [--repeats 3]
-        [--kernels read_csv,write_csv,churn_pipeline]
 """
 
 from __future__ import annotations
@@ -100,47 +98,37 @@ def traced_peak(call) -> float:
         tracemalloc.stop()
 
 
-def time_kernel(name: str, n: int, call, peak_bytes, repeats: int, curves: dict, last: dict) -> None:
-    """Time one kernel at size n into ``curves``, or record why it is skipped.
-
-    ``last`` maps a kernel to (n, median seconds) of its last timed size."""
-    curve = curves.setdefault(name, {"seconds": {}, "peak_mb": {}, "skipped": {}})
-    if name in last:
-        prev_n, prev_s = last[name]
-        estimate = prev_s * (n / prev_n) ** 3
-        if estimate > CAP_S:
-            curve["skipped"][str(n)] = f"estimated {estimate:.0f} s > {CAP_S:g} s"
-            return
-    if peak_bytes is not None and peak_bytes / 1e6 > MAX_MB:
-        curve["skipped"][str(n)] = f"estimated {peak_bytes / 1e6:.0f} MB > {MAX_MB:g} MB"
-        return
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
-    last[name] = (n, statistics.median(times))
-    curve["seconds"][str(n)] = round(last[name][1], 4)
-    curve["peak_mb"][str(n)] = round(traced_peak(call), 2)
-
-
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--sizes", default="1000,2000,5000,10000",
                    help="comma-separated row counts, ascending")
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--kernels", help="comma-separated kernel names to time (default: all)")
     args = p.parse_args()
     sizes = sorted(int(s) for s in args.sizes.split(","))
-    wanted = set(args.kernels.split(",")) if args.kernels else None
 
     curves: dict = {}
-    last: dict = {}
+    last: dict = {}  # kernel -> (n, median seconds) of its last timed size
     for n in sizes:
         with tempfile.TemporaryDirectory() as scratch:
             for name, (call, peak_bytes) in kernels(fixture(n), Path(scratch)).items():
-                if wanted is None or name in wanted:
-                    time_kernel(name, n, call, peak_bytes, args.repeats, curves, last)
+                curve = curves.setdefault(name, {"seconds": {}, "peak_mb": {}, "skipped": {}})
+                if name in last:
+                    prev_n, prev_s = last[name]
+                    estimate = prev_s * (n / prev_n) ** 3
+                    if estimate > CAP_S:
+                        curve["skipped"][str(n)] = f"estimated {estimate:.0f} s > {CAP_S:g} s"
+                        continue
+                if peak_bytes is not None and peak_bytes / 1e6 > MAX_MB:
+                    curve["skipped"][str(n)] = f"estimated {peak_bytes / 1e6:.0f} MB > {MAX_MB:g} MB"
+                    continue
+                times = []
+                for _ in range(args.repeats):
+                    start = time.perf_counter()
+                    call()
+                    times.append(time.perf_counter() - start)
+                last[name] = (n, statistics.median(times))
+                curve["seconds"][str(n)] = round(last[name][1], 4)
+                curve["peak_mb"][str(n)] = round(traced_peak(call), 2)
 
     print(json.dumps({
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),

@@ -147,8 +147,10 @@ class Column:
         """
         if kind is Kind.CATEGORICAL:
             raise ValueError(f"column {name!r}: categorical columns are built from codes")
-        present = np.array(present, dtype=bool)
-        data = np.where(present, np.asarray(values, dtype=float), np.nan)
+        values, present = np.asarray(values, dtype=float), np.array(present, dtype=bool)
+        if values.ndim != 1 or values.shape != present.shape:
+            raise ValueError(f"column {name!r}: values and present must be 1-D and of equal length")
+        data = np.where(present, values, np.nan)
         if kind is Kind.NUMERIC:
             bad = present & ~np.isfinite(data)
         else:
@@ -167,6 +169,10 @@ class Column:
         the distinct labels that occur, in ascending order, and recodes.
         """
         codes = np.array(codes, dtype=np.int64)
+        if codes.ndim != 1:
+            raise ValueError(f"column {name!r}: codes must be 1-D")
+        if not all(isinstance(label, str) for label in labels):
+            raise ValueError(f"column {name!r}: labels must be text")
         if codes.size and (codes.min() < -1 or codes.max() >= len(labels)):
             raise ValueError(f"column {name!r}: codes must lie in [-1, {len(labels)})")
         present = codes >= 0
@@ -365,15 +371,12 @@ def _finite_reals(stripped: list[str], labels: set[str], present: np.ndarray) ->
     joined = "".join(labels)
     if not joined.isascii() or "_" in joined:
         return None
-    all_present = present.all()
     try:
-        parsed = np.fromiter(map(float, stripped if all_present else compress(stripped, present)), float)
+        parsed = np.fromiter(map(float, compress(stripped, present)), float)
     except ValueError:
         return None
     if not np.isfinite(parsed).all():
         return None
-    if all_present:
-        return parsed
     values = np.full(len(stripped), np.nan)
     values[present] = parsed
     return values
@@ -494,8 +497,11 @@ def _text_cells(c: Column, rows: slice, missing_token: str) -> list[str]:
         texts = np.full(len(vals), missing_token, dtype=object)
         texts[present] = list(map(_format_numeric, vals[present].tolist()))
         return texts.tolist()
-    codes, labels = label_codes(c)
-    return np.array(labels + (missing_token,), dtype=object)[codes[rows]].tolist()
+    if c.kind is Kind.BOOLEAN:  # codes for the block only: label_codes would convert the whole column
+        texts, codes = ("0", "1", missing_token), np.where(c._present[rows], c._data[rows], 2).astype(np.intp)
+    else:
+        texts, codes = c._labels + (missing_token,), c._data[rows]
+    return np.array(texts, dtype=object)[codes].tolist()
 
 
 def write_csv_to(t: Table, fh, options: Optional[CsvOptions] = None) -> None:

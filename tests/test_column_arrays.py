@@ -8,8 +8,10 @@ import os
 import pickle
 import random
 import tempfile
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -53,6 +55,7 @@ from edakit.table import (
     read_csv,
     value_counts,
     write_csv,
+    write_csv_to,
 )
 
 from _oracles import o_read_csv_cells
@@ -174,10 +177,40 @@ def test_array_constructors_check_their_input():
         Column.from_codes("g", [0, -2], ["a"])
     with pytest.raises(ValueError, match="row 1: categorical cell must be non-empty text"):
         Column.from_codes("g", [1, 0, -1], ["", "a"])
+    with pytest.raises(ValueError, match="column 'x': values and present must be 1-D and of equal length"):
+        Column.from_floats("x", Kind.NUMERIC, [1.0, 2.0], True)
+    with pytest.raises(ValueError, match="column 'x': values and present"):
+        Column.from_floats("x", Kind.NUMERIC, [1.0, 2.0], [True])
+    with pytest.raises(ValueError, match="column 'x': values and present"):
+        Column.from_floats("x", Kind.NUMERIC, [[1.0], [2.0]], [[True], [True]])
+    with pytest.raises(ValueError, match="column 'g': codes must be 1-D"):
+        Column.from_codes("g", [[0]], ["a"])
+    with pytest.raises(ValueError, match="column 'g': labels must be text"):
+        Column.from_codes("g", [0], [1])
     # repeated, unused and unsorted labels collapse to the occurring ones, ascending
     c = Column.from_codes("g", [2, 0, -1, 3], ["b", "z", "a", "b"])
     assert c.values == ("a", "b", None, "b")
     assert label_codes(c)[1] == ("a", "b")
+
+
+def test_write_holds_a_block_of_a_boolean_column_not_the_column():
+    class Discard:
+        def write(self, text):
+            pass
+
+    def write_peak(n):
+        t = Table("t", (Column.from_floats("b", Kind.BOOLEAN, np.arange(n) % 2, np.arange(n) % 3 > 0),), n)
+        tracemalloc.start()
+        try:
+            write_csv_to(t, Discard())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # converting the whole column for each block would grow with n (8n bytes
+    # per int64 copy); one block's text is the same at both sizes
+    small, large = write_peak(50_000), write_peak(200_000)
+    assert large < 1.5 * small
 
 
 def test_numeric_with_mask_does_not_copy():
