@@ -124,13 +124,23 @@ class TestPipeline:
         with pytest.raises(ValueError, match="schema"):
             churn_pipeline(drop_columns(fixture_table, ["Balance"]))
 
-    def test_step_error_names_step(self, fixture_table):
-        # CreditScore with a single present value passes schema validation but
-        # cannot be summarized, so step 5 must be named in the error
+    # each case blanks one column, keeping the cells in `kept`; a CreditScore
+    # with a single present value passes schema validation but cannot be summarized
+    STEP_FAILURES = [
+        ("CreditScore", [700.0], r"step 5 \(credit score summary\)"),
+        ("Gender", [], r"step 3 \(geography and gender counts\)"),
+        ("Age", [], r"step 6 \(credit score vs age\)"),
+        ("Tenure", [], r"step 7 \(tenure counts\)"),
+        ("Exited", [], r"step 8 \(churn by geography\)"),
+    ]
+
+    @pytest.mark.parametrize("name, kept, step", STEP_FAILURES, ids=[c[0] for c in STEP_FAILURES])
+    def test_step_error_names_step(self, fixture_table, name, kept, step):
         n = fixture_table.row_count
-        credit = numeric_column("CreditScore", [700.0] + [None] * (n - 1))
-        broken = fixture_table.replace_column(credit)
-        with pytest.raises(RuntimeError, match=r"step 5 \(credit score summary\)"):
+        build = {Kind.NUMERIC: numeric_column, Kind.CATEGORICAL: categorical_column,
+                 Kind.BOOLEAN: boolean_column}[fixture_table.column(name).kind]
+        broken = fixture_table.replace_column(build(name, kept + [None] * (n - len(kept))))
+        with pytest.raises(RuntimeError, match=step):
             churn_pipeline(broken)
 
     def test_tiny_schema_conformant_table(self):
