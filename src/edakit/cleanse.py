@@ -192,10 +192,10 @@ def impute(c: Column, strategy: ImputeStrategy, context: Optional[Table] = None)
     elif isinstance(strategy, Mode):
         if c.kind is Kind.CATEGORICAL:
             codes, labels = label_codes(c)
-            # labels ascend, so the first most frequent is the smallest
-            fill = labels[int(np.argmax(np.bincount(codes[codes >= 0])))]
+            # labels ascend, so the smallest code is the smallest label
+            fill = labels[_mode_smallest(codes[codes >= 0])]
         else:
-            fill = _mode_smallest(numeric_values(c).tolist())
+            fill = _mode_smallest(numeric_values(c))
     elif isinstance(strategy, Constant):
         fill = strategy.value
     elif isinstance(strategy, LinearRegression):

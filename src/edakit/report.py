@@ -15,7 +15,8 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -125,9 +126,13 @@ class ChurnReport:
         }
 
 
-def _present_mean(c) -> float:
-    values = table.numeric_values(c)
-    return float(values.mean())
+@contextmanager
+def _step(num: int, name: str):
+    """Name the churn pipeline step in any error raised inside the block."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"churn pipeline step {num} ({name}) failed: {exc}") from exc
 
 
 def churn_pipeline(t: Table, evaluate_findings: Optional[bool] = None) -> ChurnReport:
@@ -135,107 +140,84 @@ def churn_pipeline(t: Table, evaluate_findings: Optional[bool] = None) -> ChurnR
 
     evaluate_findings=None auto-detects: claims get PASS/FAIL verdicts only
     on a full-scale (10000-row) table and NOT-EVALUATED otherwise. Any
-    failing step aborts with the step number and name.
+    failing step, the findings (step 10) included, aborts with the step
+    number and name.
     """
-    validate_schema(t)
+    schema = validate_schema(t)
     evaluated = (
         evaluate_findings
         if evaluate_findings is not None
         else t.row_count == REFERENCE_ROW_COUNT
     )
-
-    state: dict = {}
     plots: list[tuple[str, viz.SvgDoc]] = []
 
-    def step(num: int, name: str, fn) -> None:
-        try:
-            fn()
-        except Exception as exc:
-            raise RuntimeError(f"churn pipeline step {num} ({name}) failed: {exc}") from exc
+    with _step(1, "drop identifier columns"):
+        if schema.droppable_present:
+            t = table.drop_columns(t, schema.droppable_present)
 
-    def s1_drop() -> None:
-        present = [n for n in DROPPABLE if t.has_column(n)]
-        state["t"] = table.drop_columns(t, present) if present else t
+    with _step(2, "null counts"):
+        null_counts = {e.name: e.null_count for e in table.null_counts(t).entries}
 
-    def s2_nulls() -> None:
-        schema = table.null_counts(state["t"])
-        state["null_counts"] = {e.name: e.null_count for e in schema.entries}
+    with _step(3, "geography and gender counts"):
+        geo = table.value_counts(t.column("Geography"))
+        gender = table.value_counts(t.column("Gender"))
+        plots.append(("01_geography_bar.svg", viz.plot_bar(geo, "Customers by geography")))
+        plots.append(("02_gender_bar.svg", viz.plot_bar(gender, "Customers by gender")))
 
-    def s3_demographics() -> None:
-        state["geo"] = table.value_counts(state["t"].column("Geography"))
-        state["gender"] = table.value_counts(state["t"].column("Gender"))
-        plots.append(("01_geography_bar.svg", viz.plot_bar(state["geo"], "Customers by geography")))
-        plots.append(("02_gender_bar.svg", viz.plot_bar(state["gender"], "Customers by gender")))
+    with _step(4, "correlation matrix"):
+        corr = assoc.correlation_matrix(t, assoc.CorrMethod.PEARSON)
+        plots.append(("03_correlation_heatmap.svg", viz.plot_heatmap(corr, "Correlation heatmap")))
 
-    def s4_correlation() -> None:
-        state["corr"] = assoc.correlation_matrix(state["t"], assoc.CorrMethod.PEARSON)
-        plots.append(("03_correlation_heatmap.svg", viz.plot_heatmap(state["corr"], "Correlation heatmap")))
+    with _step(5, "credit score summary"):
+        cs = t.column("CreditScore")
+        cs_stats = stats.summarize(cs)
+        cs_hist = stats.histogram(cs)
+        plots.append(("04_credit_score_hist.svg", viz.plot_histogram(cs_hist, "Credit score distribution")))
 
-    def s5_credit_score() -> None:
-        col = state["t"].column("CreditScore")
-        state["cs_stats"] = stats.summarize(col)
-        state["cs_hist"] = stats.histogram(col)
-        plots.append(("04_credit_score_hist.svg", viz.plot_histogram(state["cs_hist"], "Credit score distribution")))
-
-    def s6_credit_age() -> None:
-        cs = state["t"].column("CreditScore")
-        age = state["t"].column("Age")
-        state["cs_age_r"] = assoc.pearson(cs, age)
+    with _step(6, "credit score vs age"):
+        age = t.column("Age")
+        cs_age_r = assoc.pearson(cs, age)
         plots.append(("05_credit_age_scatter.svg", viz.plot_scatter(cs, age, "Credit score vs age")))
 
-    def s7_tenure() -> None:
-        tenure = table.numeric_values(state["t"].column("Tenure"))
-        years, counts = np.unique(tenure, return_counts=True)  # ascending by value
+    with _step(7, "tenure counts"):
+        years, counts = np.unique(table.numeric_values(t.column("Tenure")), return_counts=True)  # ascending
         total = int(counts.sum())
         rows = (FreqRow(f"{y:g}", n, n / total) for y, n in zip(years.tolist(), counts.tolist()))
-        state["tenure"] = FrequencyTable(tuple(rows))
-        plots.append(("06_tenure_bar.svg", viz.plot_bar(state["tenure"], "Customers by tenure")))
+        tenure = FrequencyTable(tuple(rows))
+        plots.append(("06_tenure_bar.svg", viz.plot_bar(tenure, "Customers by tenure")))
 
-    def s8_geo_churn() -> None:
-        ct = assoc.contingency(state["t"].column("Geography"), state["t"].column("Exited"))
+    with _step(8, "churn by geography"):
+        ct = assoc.contingency(t.column("Geography"), t.column("Exited"))
         by_geo = [(g, dict(zip(ct.col_labels, row))) for g, row in zip(ct.row_labels, ct.counts)]
-        state["churn_by_geo"] = {g: cells.get("1", 0) / sum(cells.values()) for g, cells in by_geo}
+        churn_by_geo = {g: cells.get("1", 0) / sum(cells.values()) for g, cells in by_geo}
         # flattened grouped bar: stayed/exited counts per geography, zero cells omitted
         outcome = {"0": "stayed", "1": "exited"}
         pairs = sorted((f"{g}/{outcome[e]}", k) for g, cells in by_geo for e, k in cells.items() if k)
-        total = ct.total
-        rows = tuple(FreqRow(label, k, k / total) for label, k in pairs)
-        plots.append(
-            ("07_churn_by_geography_bar.svg", viz.plot_bar(FrequencyTable(rows), "Churn by geography"))
-        )
+        bars = FrequencyTable(tuple(FreqRow(label, k, k / ct.total) for label, k in pairs))
+        plots.append(("07_churn_by_geography_bar.svg", viz.plot_bar(bars, "Churn by geography")))
 
-    def s9_rates() -> None:
-        state["churn_rate"] = _present_mean(state["t"].column("Exited"))
-        state["hascrcard_rate"] = _present_mean(state["t"].column("HasCrCard"))
+    with _step(9, "overall rates"):
+        churn_rate = float(table.numeric_values(t.column("Exited")).mean())
+        hascrcard_rate = float(table.numeric_values(t.column("HasCrCard")).mean())
 
-    step(1, "drop identifier columns", s1_drop)
-    step(2, "null counts", s2_nulls)
-    step(3, "geography and gender counts", s3_demographics)
-    step(4, "correlation matrix", s4_correlation)
-    step(5, "credit score summary", s5_credit_score)
-    step(6, "credit score vs age", s6_credit_age)
-    step(7, "tenure counts", s7_tenure)
-    step(8, "churn by geography", s8_geo_churn)
-    step(9, "overall rates", s9_rates)
-
-    findings = _evaluate_findings(state, evaluated)
-
-    return ChurnReport(
+    report = ChurnReport(
         row_count=t.row_count,
-        null_counts=state["null_counts"],
-        geography_counts=state["geo"],
-        gender_counts=state["gender"],
-        churn_rate=state["churn_rate"],
-        hascrcard_rate=state["hascrcard_rate"],
-        churn_by_geography=state["churn_by_geo"],
-        credit_score_stats=state["cs_stats"],
-        credit_age_pearson=state["cs_age_r"],
-        tenure_counts=state["tenure"],
-        correlation_heatmap=state["corr"],
-        findings=tuple(findings),
+        null_counts=null_counts,
+        geography_counts=geo,
+        gender_counts=gender,
+        churn_rate=churn_rate,
+        hascrcard_rate=hascrcard_rate,
+        churn_by_geography=churn_by_geo,
+        credit_score_stats=cs_stats,
+        credit_age_pearson=cs_age_r,
+        tenure_counts=tenure,
+        correlation_heatmap=corr,
+        findings=(),
         evaluated=evaluated,
         plots=tuple(plots),
     )
+    with _step(10, "findings"):
+        return replace(report, findings=_evaluate_findings(report, t, cs_hist))
 
 
 def _modal_bin_center(h: stats.Histogram) -> float:
@@ -243,13 +225,14 @@ def _modal_bin_center(h: stats.Histogram) -> float:
     return (h.edges[i] + h.edges[i + 1]) / 2.0
 
 
-def _evaluate_findings(state: dict, evaluated: bool) -> list[Finding]:
-    t = state["t"]
-    cs: stats.SummaryStats = state["cs_stats"]
+def _evaluate_findings(r: ChurnReport, t: Table, cs_hist: stats.Histogram) -> tuple[Finding, ...]:
+    """Findings F1..F12 read from the report, the analysed table ``t`` and
+    the credit-score histogram."""
+    cs = r.credit_score_stats
     out: list[Finding] = []
 
     def add(claim_id: str, claim: str, measured: dict, ok: Optional[bool]) -> None:
-        if not evaluated or ok is None:
+        if not r.evaluated or ok is None:
             verdict = Verdict.NOT_EVALUATED
         else:
             verdict = Verdict.PASS if ok else Verdict.FAIL
@@ -258,15 +241,14 @@ def _evaluate_findings(state: dict, evaluated: bool) -> list[Finding]:
     add("F1", "credit score outlier at the maximum value 850",
         {"credit_score_max": cs.max}, cs.max == 850.0)
 
-    center = _modal_bin_center(state["cs_hist"])
+    center = _modal_bin_center(cs_hist)
     add("F2", "credit scores concentrate between 600 and 700",
         {"modal_bin_center": center}, 600.0 <= center <= 700.0)
 
-    r = state["cs_age_r"]
     add("F3", "no correlation between age and credit score (abs r < 0.1)",
-        {"pearson": r}, abs(r) < 0.1)
+        {"pearson": r.credit_age_pearson}, abs(r.credit_age_pearson) < 0.1)
 
-    tenure_rows = state["tenure"].rows
+    tenure_rows = r.tenure_counts.rows
     if len(tenure_rows) > 2:
         interior = tenure_rows[1:-1]
         mean_count = sum(row.count for row in interior) / len(interior)
@@ -295,35 +277,27 @@ def _evaluate_findings(state: dict, evaluated: bool) -> list[Finding]:
     add("F7", "estimated salary approximately uniform (10-bin max/min ratio < 1.5)",
         {"bin_count_ratio": ratio if math.isfinite(ratio) else None}, ratio < 1.5)
 
-    gender_shares = {row.label: row.proportion for row in state["gender"].rows}
+    gender_shares = {row.label: row.proportion for row in r.gender_counts.rows}
     ok8 = bool(gender_shares) and all(0.4 <= p <= 0.6 for p in gender_shares.values())
     add("F8", "roughly equal numbers of male and female customers (shares in [0.4, 0.6])",
         {"gender_shares": gender_shares}, ok8)
 
     add("F9", "about 71% of customers hold a credit card (rate in [0.70, 0.72])",
-        {"hascrcard_rate": state["hascrcard_rate"]},
-        0.70 <= state["hascrcard_rate"] <= 0.72)
+        {"hascrcard_rate": r.hascrcard_rate}, 0.70 <= r.hascrcard_rate <= 0.72)
 
     add("F10", "about 20% of customers churned (rate in [0.19, 0.21])",
-        {"churn_rate": state["churn_rate"]},
-        0.19 <= state["churn_rate"] <= 0.21)
+        {"churn_rate": r.churn_rate}, 0.19 <= r.churn_rate <= 0.21)
 
-    geo_rows = state["geo"].rows
+    geo_rows = r.geography_counts.rows
     modal_geo = geo_rows[0].label if geo_rows else None
     add("F11", "France is the modal geography",
         {"modal_geography": modal_geo}, modal_geo == "France")
 
     # F12 is measured but never asserted: "similar churn across geographies"
     # is a qualitative figure reading, not a checkable tolerance.
-    out.append(
-        Finding(
-            "F12",
-            "geographies show a similar pattern of exiting (reported, not asserted)",
-            {"churn_by_geography": state["churn_by_geo"]},
-            Verdict.NOT_EVALUATED,
-        )
-    )
-    return out
+    add("F12", "geographies show a similar pattern of exiting (reported, not asserted)",
+        {"churn_by_geography": r.churn_by_geography}, None)
+    return tuple(out)
 
 
 class ReportFormat(enum.Enum):
@@ -373,6 +347,11 @@ def render_report(
     return written
 
 
+def _md(text: str) -> str:
+    """A markdown table cell: an unescaped ``|`` would split the cell."""
+    return text.replace("|", "\\|")
+
+
 def _render_markdown(r: ChurnReport) -> str:
     lines = ["# Bank churn analysis report", ""]
     lines.append(f"Rows analyzed: {r.row_count}")
@@ -386,23 +365,21 @@ def _render_markdown(r: ChurnReport) -> str:
     lines.append("| column | nulls |")
     lines.append("| --- | --- |")
     for name, count in r.null_counts.items():
-        lines.append(f"| {name} | {count} |")
+        lines.append(f"| {_md(name)} | {count} |")
     lines.append("")
     lines.append("## Churn rate by geography")
     lines.append("")
     lines.append("| geography | churn rate |")
     lines.append("| --- | --- |")
     for label, rate in r.churn_by_geography.items():
-        lines.append(f"| {label} | {rate:.4f} |")
+        lines.append(f"| {_md(label)} | {rate:.4f} |")
     lines.append("")
     lines.append("## Findings")
     lines.append("")
     lines.append("| id | claim | measured | verdict |")
     lines.append("| --- | --- | --- | --- |")
     for f in r.findings:
-        claim = f.claim.replace("|", "\\|")
-        measured = _fmt_measure(f.measured).replace("|", "\\|")
-        lines.append(f"| {f.claim_id} | {claim} | {measured} | {f.verdict.value} |")
+        lines.append(f"| {f.claim_id} | {_md(f.claim)} | {_md(_fmt_measure(f.measured))} | {f.verdict.value} |")
     lines.append("")
     lines.append("## Plots")
     lines.append("")

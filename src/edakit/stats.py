@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -160,13 +160,11 @@ def sample_variance(values: np.ndarray) -> float:
     return float(np.sum((values - mean) ** 2) / (n - 1))
 
 
-def _mode_smallest(values: Iterable):
+def _mode_smallest(values: np.ndarray):
     """Most frequent value, smallest wins ties; equal keys (0.0, -0.0) keep the first seen."""
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    best = max(counts.values())
-    return min(v for v, k in counts.items() if k == best)
+    # return_index makes the sort stable, so each key's first index is its first occurrence
+    _, first, counts = np.unique(values, return_index=True, return_counts=True)
+    return values[first[np.argmax(counts)]].item()
 
 
 def percentile(c: Column, p: float) -> float:
@@ -269,7 +267,7 @@ def summarize(c: Column) -> SummaryStats:
         n_missing=c.null_count,
         mean=mean,
         median=median,
-        mode=_mode_smallest(values.tolist()),
+        mode=_mode_smallest(values),
         min=float(s[0]),
         max=float(s[-1]),
         range=float(s[-1] - s[0]),

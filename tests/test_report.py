@@ -132,6 +132,8 @@ class TestPipeline:
         ("Age", [], r"step 6 \(credit score vs age\)"),
         ("Tenure", [], r"step 7 \(tenure counts\)"),
         ("Exited", [], r"step 8 \(churn by geography\)"),
+        ("Balance", [], r"step 10 \(findings\)"),
+        ("EstimatedSalary", [], r"step 10 \(findings\)"),
     ]
 
     @pytest.mark.parametrize("name, kept, step", STEP_FAILURES, ids=[c[0] for c in STEP_FAILURES])
@@ -223,6 +225,17 @@ class TestRender:
         html = (tmp_path / "report.html").read_text(encoding="utf-8")
         assert html.startswith("<!DOCTYPE html>")
         assert "NOT-EVALUATED" in html
+
+    def test_markdown_escapes_pipes_in_cells(self, fixture_table, tmp_path):
+        geo = [{"Spain": "Spain|Islands"}.get(g, g) for g in fixture_table.column("Geography").values]
+        t = fixture_table.replace_column(categorical_column("Geography", geo))
+        t = t.append_columns([categorical_column("Sur|name", ["x"] * t.row_count)])
+        render_report(churn_pipeline(t), ReportFormat.MARKDOWN, tmp_path)
+        lines = (tmp_path / "report.md").read_text(encoding="utf-8").splitlines()
+        assert "| Sur\\|name | 0 |" in lines
+        assert any(line.startswith("| Spain\\|Islands | ") for line in lines)
+        f12 = next(line for line in lines if line.startswith("| F12 |"))
+        assert "Spain\\|Islands=" in f12 and "Spain|" not in f12
 
     def test_empty_findings_edge(self, fixture_table, tmp_path):
         r = churn_pipeline(fixture_table)

@@ -208,11 +208,16 @@ class TestOracleAgreement:
 
     def test_fields_match_oracle(self):
         rng = np.random.default_rng(2024)
-        for _ in range(60):
-            xs = _random_column(rng)
+        columns = [_random_column(rng) for _ in range(60)]
+        # signed zeros and heavy ties: the mode's tie-break and its sign show here
+        pool = [-0.0, 0.0, -1.0, 1.0, 2.5]
+        columns += [rng.choice(pool, int(rng.integers(2, 30))).tolist() for _ in range(300)]
+        for xs in columns:
+            s = summarize(col(xs))
+            mode = o_mode_smallest(xs)
+            assert s.mode == mode and math.copysign(1.0, s.mode) == math.copysign(1.0, mode)
             if o_variance(xs) == 0:
                 continue
-            s = summarize(col(xs))
             checks = [
                 (s.mean, o_mean(xs)),
                 (s.median, o_median(xs)),
@@ -230,7 +235,6 @@ class TestOracleAgreement:
                 checks.append((s.kurtosis_excess, o_kurtosis_excess(xs)))
             for got, want in checks:
                 assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
-            assert s.mode == o_mode_smallest(xs)
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60), st.floats(0, 100))
     def test_percentile_matches_oracle(self, xs, p):
