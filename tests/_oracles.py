@@ -351,3 +351,14 @@ def o_read_csv_cells(path, opts):
         ]
     except ValueError as exc:
         return str(exc)
+
+
+# The per-cell CSV number formatter that the whole-array one replaced, kept as
+# it was.
+
+
+def o_format_numeric(v: float) -> str:
+    # integral floats print without the ".0"; both forms parse back to v
+    if v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(v)

@@ -3,10 +3,12 @@ storage, first-pass CSV round trips, and the array ops against plain loops."""
 
 import copy
 import csv
+import importlib.util
 import io
 import os
 import pickle
 import random
+import sys
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -58,7 +60,8 @@ from edakit.table import (
     write_csv_to,
 )
 
-from _oracles import o_read_csv_cells
+from _oracles import o_format_numeric, o_read_csv_cells
+from conftest import ROOT
 
 # ---------------------------------------------------------------------------
 # read_csv against the cell-by-cell reader
@@ -211,6 +214,44 @@ def test_write_holds_a_block_of_a_boolean_column_not_the_column():
     # per int64 copy); one block's text is the same at both sizes
     small, large = write_peak(50_000), write_peak(200_000)
     assert large < 1.5 * small
+
+
+def load_make_fixture():
+    spec = importlib.util.spec_from_file_location("make_fixture", ROOT / "scripts" / "make_fixture.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fixture_tables_write_the_committed_bytes(tmp_path):
+    fixture = load_make_fixture()
+    t = fixture.build_fixture()
+    for table, name in ((t, "churn_fixture.csv"), (fixture.blank_cells(t), "churn_fixture_blanks.csv")):
+        write_csv(table, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (ROOT / "data" / name).read_bytes(), name
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 0.1, 1e-7, 123456789.0, 1e15 + 0.5,
+    1e16, -1e16, np.nextafter(1e16, 0.0), -np.nextafter(1e16, 0.0), 2.0**53, 2.0**53 + 2,
+    -(2.0**53 + 2), 9007199254740993.0, 1e300, 5e-324, -5e-324,
+    sys.float_info.max, -sys.float_info.max, sys.float_info.min,
+]
+
+
+def test_numbers_written_as_the_per_cell_formatter():
+    rng = np.random.default_rng(10)
+    bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    integral = np.trunc(rng.normal(0.0, 1.0, 20_000) * 10.0 ** rng.integers(0, 20, 20_000))
+    values = np.concatenate([SPECIAL_FLOATS, bits[np.isfinite(bits)], integral])
+    present = rng.random(len(values)) < 0.9
+    present[: len(SPECIAL_FLOATS)] = True
+    t = Table("t", (Column.from_floats("x", Kind.NUMERIC, values, present),), len(values))
+    out = io.StringIO()
+    write_csv_to(t, out)
+    written = [row[0] for row in csv.reader(io.StringIO(out.getvalue()))][1:]
+    want = [o_format_numeric(v) if p else "" for v, p in zip(values.tolist(), present.tolist())]
+    assert written == want
 
 
 def test_numeric_with_mask_does_not_copy():
