@@ -17,6 +17,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from html import escape
 from pathlib import Path
 from typing import Optional, Union
 
@@ -197,8 +198,11 @@ def churn_pipeline(t: Table, evaluate_findings: Optional[bool] = None) -> ChurnR
         plots.append(("07_churn_by_geography_bar.svg", viz.plot_bar(bars, "Churn by geography")))
 
     with _step(9, "overall rates"):
-        churn_rate = float(table.numeric_values(t.column("Exited")).mean())
-        hascrcard_rate = float(table.numeric_values(t.column("HasCrCard")).mean())
+        churn_rate = float(table.numeric_values(t.column("Exited")).mean())  # step 8 needs Exited present
+        has_card = table.numeric_values(t.column("HasCrCard"))
+        if not has_card.size:
+            raise ValueError("column 'HasCrCard' has no present values")
+        hascrcard_rate = float(has_card.mean())
 
     report = ChurnReport(
         row_count=t.row_count,
@@ -391,19 +395,17 @@ def _render_markdown(r: ChurnReport) -> str:
 
 
 def _render_html(r: ChurnReport) -> str:
-    from xml.sax.saxutils import escape
-
     rows = "".join(
-        f"<tr><td>{f.claim_id}</td><td>{escape(f.claim)}</td>"
-        f"<td>{escape(_fmt_measure(f.measured))}</td><td>{f.verdict.value}</td></tr>"
+        f"<tr><td>{f.claim_id}</td><td>{escape(f.claim, quote=False)}</td>"
+        f"<td>{escape(_fmt_measure(f.measured), quote=False)}</td><td>{f.verdict.value}</td></tr>"
         for f in r.findings
     )
     nulls = "".join(
-        f"<tr><td>{escape(name)}</td><td>{count}</td></tr>"
+        f"<tr><td>{escape(name, quote=False)}</td><td>{count}</td></tr>"
         for name, count in r.null_counts.items()
     )
     geo = "".join(
-        f"<tr><td>{escape(label)}</td><td>{rate:.4f}</td></tr>"
+        f"<tr><td>{escape(label, quote=False)}</td><td>{rate:.4f}</td></tr>"
         for label, rate in r.churn_by_geography.items()
     )
     imgs = "".join(

@@ -236,13 +236,6 @@ class Column:
     def null_count(self) -> int:
         return len(self) - int(np.count_nonzero(self._present))
 
-    def present_values(self) -> list:
-        """Non-missing cell values, in row order."""
-        present = self._data[self._present]
-        if self.kind is Kind.CATEGORICAL:
-            return list(map(self._labels.__getitem__, present.tolist()))
-        return (present if self.kind is Kind.NUMERIC else present.astype(np.int64)).tolist()
-
 
 def numeric_column(name: str, cells: Sequence[Optional[float]]) -> Column:
     """Build a Numeric column; None entries become missing cells."""
@@ -390,11 +383,9 @@ def _typed_column(name: str, cells: Sequence[str], opts: CsvOptions, missing_set
     missing = set(compress(distinct, map(missing_set.__contains__, map(str.casefold, distinct))))
     labels = distinct - missing  # the distinct present cells
     present = ~np.fromiter(map(missing.__contains__, stripped), bool, n) if missing else np.ones(n, bool)
-    if labels and labels <= {"0", "1"} and (name in opts.boolean_columns or len(labels) == 2):
-        lookup = {"0": 0.0, "1": 1.0, **dict.fromkeys(missing, math.nan)}
-        return Column.from_floats(name, Kind.BOOLEAN, np.fromiter(map(lookup.__getitem__, stripped), float, n), present)
     if labels and (values := _finite_reals(stripped, labels, present)) is not None:
-        return Column.from_floats(name, Kind.NUMERIC, values, present)
+        boolean = labels <= {"0", "1"} and (name in opts.boolean_columns or len(labels) == 2)
+        return Column.from_floats(name, Kind.BOOLEAN if boolean else Kind.NUMERIC, values, present)
     source = stripped
     if not opts.trim_whitespace:  # the labels are the raw cells; missing is still judged stripped
         source = cells
@@ -479,29 +470,22 @@ def read_csv(path: Union[str, Path], options: Optional[CsvOptions] = None) -> Ta
     return Table(path.stem, tuple(columns), n_rows)
 
 
-def _format_numeric(v: float) -> str:
-    # integral floats print without the ".0"; both forms parse back to v
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
 # rows formatted per write_csv_to step, which bounds the text held at once
 _WRITE_ROWS = 8192
 
 
 def _text_cells(c: Column, rows: slice, missing_token: str) -> list[str]:
     """The CSV text of the cells of a column in ``rows``."""
-    if c.kind is Kind.NUMERIC:
-        vals, present = (a[rows] for a in numeric_with_mask(c))
-        texts = np.full(len(vals), missing_token, dtype=object)
-        texts[present] = list(map(_format_numeric, vals[present].tolist()))
-        return texts.tolist()
-    if c.kind is Kind.BOOLEAN:  # codes for the block only: label_codes would convert the whole column
-        texts, codes = ("0", "1", missing_token), np.where(c._present[rows], c._data[rows], 2).astype(np.intp)
-    else:
-        texts, codes = c._labels + (missing_token,), c._data[rows]
-    return np.array(texts, dtype=object)[codes].tolist()
+    if c.kind is Kind.CATEGORICAL:
+        return np.array(c._labels + (missing_token,), dtype=object)[c._data[rows]].tolist()
+    vals, present = c._data[rows], c._present[rows]
+    # integral floats print without the ".0"; both forms parse back to the value
+    whole = present & (vals == np.trunc(vals)) & (np.abs(vals) < 1e16)
+    other = present & ~whole
+    texts = np.full(len(vals), missing_token, dtype=object)
+    texts[whole] = list(map(str, vals[whole].astype(np.int64).tolist()))
+    texts[other] = list(map(repr, vals[other].tolist()))
+    return texts.tolist()
 
 
 def write_csv_to(t: Table, fh, options: Optional[CsvOptions] = None) -> None:

@@ -16,22 +16,19 @@ class TimeSeries:
     """Ordered finite observations; missing values are not representable."""
 
     values: tuple[float, ...]
-    period_hint: Optional[int] = None
 
     def __post_init__(self) -> None:
         if len(self.values) < 1:
             raise ValueError("time series must have at least one value")
         if any(not math.isfinite(v) for v in self.values):
             raise ValueError("time series values must be finite")
-        if self.period_hint is not None and self.period_hint < 2:
-            raise ValueError("period hint must be >= 2")
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-def series(values: Sequence[float], period_hint: Optional[int] = None) -> TimeSeries:
-    return TimeSeries(tuple(float(v) for v in values), period_hint)
+def series(values: Sequence[float]) -> TimeSeries:
+    return TimeSeries(tuple(float(v) for v in values))
 
 
 def moving_average(s: TimeSeries, window: int) -> TimeSeries:

@@ -8,9 +8,9 @@ only. Output is well-formed SVG 1.1 / XML.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from html import escape
 from pathlib import Path
 from typing import Optional, Sequence, Union
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class _Canvas:
             self.text(WIDTH / 2, MARGIN / 2, title, anchor="middle", size=16)
 
     def rect(self, x: float, y: float, w: float, h: float, fill: str, cls: Optional[str] = None) -> None:
-        c = f' class={quoteattr(cls)}' if cls else ""
+        c = f' class="{cls}"' if cls else ""
         self.parts.append(
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}"'
             f' fill="{fill}" stroke="black" stroke-width="0.5"{c}/>\n'
@@ -78,7 +78,7 @@ class _Canvas:
         self, cxs: Sequence[float], cys: Sequence[float], r: float, fill: str, cls: Optional[str] = None
     ) -> None:
         """One circle per (cx, cy) pair; the shared attributes are formatted once."""
-        c = f' class={quoteattr(cls)}' if cls else ""
+        c = f' class="{cls}"' if cls else ""
         tail = f'" r="{_fmt(r)}" fill="{fill}"{c}/>\n'
         self.parts.extend(
             f'<circle cx="{a}" cy="{b}{tail}' for a, b in zip(map(_fmt, cxs), map(_fmt, cys))
@@ -87,7 +87,7 @@ class _Canvas:
     def text(self, x: float, y: float, s: str, anchor: str = "start", size: int = 11) -> None:
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif"'
-            f' font-size="{size}" text-anchor="{anchor}">{escape(s)}</text>\n'
+            f' font-size="{size}" text-anchor="{anchor}">{escape(s, quote=False)}</text>\n'
         )
 
     def axes(self) -> None:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from conftest import ROOT
 from edakit.cli import main
 
 
@@ -290,3 +294,11 @@ class TestChurnReportCommand:
         assert files1 == files2
         for rel in files1:
             assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes(), str(rel)
+
+
+def test_start_up_loads_no_xml_or_network_modules():
+    # xml.sax.saxutils pulls in urllib.request, http.client, ssl and email
+    code = "import sys, edakit.cli; print(sorted({'xml.sax', 'urllib.request', 'ssl'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
