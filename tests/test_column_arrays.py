@@ -1,4 +1,5 @@
-"""Array-backed columns: the reader against the cell-by-cell oracle, read-only
+"""Array-backed columns: the reader against the cell-by-cell oracle, the writer
+against the per-cell number formatter and the committed fixture bytes, read-only
 storage, first-pass CSV round trips, and the array ops against plain loops."""
 
 import copy
