@@ -45,7 +45,6 @@ from .cleanse import (
     bin_column,
     detect_outliers,
     encode,
-    engineer,
     handle_outliers,
     impute,
     transform,

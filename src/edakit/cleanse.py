@@ -1,5 +1,5 @@
 """Data cleaning: outlier detection/handling, imputation, transforms,
-encoding, binning and feature construction.
+encoding and binning.
 
 Outlier fences and quartiles share the package-wide conventions from the
 stats module (sample std, type-7 quantiles).
@@ -10,12 +10,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .stats import _mode_smallest, quantile_type7, sample_variance
-from .table import Column, Kind, Table, label_codes, numeric_values, numeric_with_mask
+from .table import Column, Kind, Table, _number_texts, label_codes, numeric_values, numeric_with_mask
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +398,12 @@ class Edges:
 BinSpec = Union[EqualWidth, Quantile, Edges]
 
 
-def _bin_label(lo: float, hi: float, last: bool) -> str:
-    close = "]" if last else ")"
-    return f"[{lo:g},{hi:g}{close}"
+def _bin_labels(edges: np.ndarray) -> list[str]:
+    """"[lo,hi)" per bin, the last closed. Edges are written as write_csv
+    writes numbers, so distinct edges give distinct labels."""
+    texts = _number_texts(edges, np.ones(len(edges), bool), "")
+    closes = [")"] * (len(texts) - 2) + ["]"]
+    return [f"[{lo},{hi}{close}" for lo, hi, close in zip(texts, texts[1:], closes)]
 
 
 def bin_column(c: Column, spec: BinSpec) -> Column:
@@ -418,7 +421,7 @@ def bin_column(c: Column, spec: BinSpec) -> Column:
 
     vals, present = numeric_with_mask(c)
     if isinstance(spec, (EqualWidth, Quantile)) and lo == hi:
-        return Column.from_codes(c.name, np.where(present, 0, -1), [_bin_label(lo, hi, last=True)])
+        return Column.from_codes(c.name, np.where(present, 0, -1), _bin_labels(np.array([lo, hi])))
     if isinstance(spec, EqualWidth):
         edges = np.linspace(lo, hi, spec.n + 1)
     elif isinstance(spec, Quantile):
@@ -438,73 +441,5 @@ def bin_column(c: Column, spec: BinSpec) -> Column:
         raise TypeError(f"unsupported bin spec: {spec!r}")
 
     n_bins = len(edges) - 1
-    labels = [_bin_label(edges[i], edges[i + 1], i == n_bins - 1) for i in range(n_bins)]
-
     bins = np.clip(np.searchsorted(edges, vals, side="right") - 1, 0, n_bins - 1)
-    return Column.from_codes(c.name, np.where(present, bins, -1), labels)
-
-
-# ---------------------------------------------------------------------------
-# feature engineering
-
-@dataclass(frozen=True)
-class Product:
-    a: str
-    b: str
-
-
-@dataclass(frozen=True)
-class Power:
-    a: str
-    k: float
-
-
-FeatureSpec = Union[Product, Power]
-
-
-def engineer(t: Table, specs: Sequence[FeatureSpec]) -> Table:
-    """Append interaction ("a*b") and power ("a^k") columns.
-
-    Referenced columns must be numeric; missing operands propagate to the
-    derived cell. Non-finite results (e.g. 0 to a negative power) raise.
-    """
-    new_cols: list[Column] = []
-    for spec in specs:
-        if isinstance(spec, Product):
-            ca, cb = t.column(spec.a), t.column(spec.b)
-            for col in (ca, cb):
-                if col.kind is not Kind.NUMERIC:
-                    raise ValueError(f"column {col.name!r} is not numeric")
-            name = f"{spec.a}*{spec.b}"
-            (va, ma), (vb, mb) = numeric_with_mask(ca), numeric_with_mask(cb)
-            present = ma & mb
-            with np.errstate(all="ignore"):
-                out = va * vb
-        elif isinstance(spec, Power):
-            ca = t.column(spec.a)
-            if ca.kind is not Kind.NUMERIC:
-                raise ValueError(f"column {ca.name!r} is not numeric")
-            name = f"{spec.a}^{spec.k:g}"
-            va, present = numeric_with_mask(ca)
-            rows = np.flatnonzero(present)
-            # Python's float power per cell: it raises where numpy would not
-            out = np.full(len(ca), np.nan)
-            out[rows] = [_checked_pow(v, spec.k, name, i) for i, v in zip(rows.tolist(), va[rows].tolist())]
-        else:
-            raise TypeError(f"unsupported feature spec: {spec!r}")
-        bad = np.flatnonzero(present & ~np.isfinite(out))
-        if len(bad):
-            raise ValueError(f"feature {name!r} row {bad[0]}: non-finite result")
-        new_cols.append(Column.from_floats(name, Kind.NUMERIC, out, present))
-    return t.append_columns(new_cols)
-
-
-def _checked_pow(v: float, k: float, name: str, row: int) -> float:
-    # v ** k can divide by zero, overflow, or go complex for v < 0
-    try:
-        r = v**k
-    except (ZeroDivisionError, OverflowError):
-        raise ValueError(f"feature {name!r} row {row}: non-finite result") from None
-    if isinstance(r, complex):
-        raise ValueError(f"feature {name!r} row {row}: complex result")
-    return r
+    return Column.from_codes(c.name, np.where(present, bins, -1), _bin_labels(edges))

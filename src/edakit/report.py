@@ -5,9 +5,9 @@ Markdown/HTML with SVG artifacts.
 Findings F1..F11 assert dataset-level claims with explicit tolerances; they
 are only evaluated when the input is the real 10000-row dataset (or the
 caller forces evaluation), because a small synthetic fixture cannot be
-expected to satisfy dataset-level claims. F12 is always reported without a
-verdict: per-geography churn similarity is a qualitative reading that this
-pipeline measures but does not assert.
+expected to satisfy dataset-level claims. F12 and F13 are always reported
+without a verdict: churn by geography, age band and gender is a qualitative
+reading that this pipeline measures but does not assert.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import assoc, stats, table, viz
+from . import assoc, cleanse, stats, table, viz
 from .table import FreqRow, FrequencyTable, Kind, Table
 
 REQUIRED_KINDS = {
@@ -44,6 +44,10 @@ DROPPABLE = ("RowNumber", "CustomerId", "Surname")
 
 # row count of the reference dataset; findings auto-evaluate only at full scale
 REFERENCE_ROW_COUNT = 10000
+
+# Age bands for the churn-by-age cut: under 30, each decade to 60, and 60 or
+# over. A negative age fails the step.
+AGE_BANDS = cleanse.Edges((0.0, 30.0, 40.0, 50.0, 60.0, math.inf))
 
 
 class Verdict(enum.Enum):
@@ -101,6 +105,8 @@ class ChurnReport:
     churn_rate: float
     hascrcard_rate: float
     churn_by_geography: dict
+    churn_by_age_band: dict
+    churn_by_gender: dict
     credit_score_stats: stats.SummaryStats
     credit_age_pearson: float
     tenure_counts: FrequencyTable
@@ -119,6 +125,8 @@ class ChurnReport:
             "churn_rate": self.churn_rate,
             "hascrcard_rate": self.hascrcard_rate,
             "churn_by_geography": self.churn_by_geography,
+            "churn_by_age_band": self.churn_by_age_band,
+            "churn_by_gender": self.churn_by_gender,
             "credit_score_stats": self.credit_score_stats.to_dict(),
             "credit_age_pearson": self.credit_age_pearson,
             "tenure_counts": self.tenure_counts.to_dict(),
@@ -136,12 +144,17 @@ def _step(num: int, name: str):
         raise RuntimeError(f"churn pipeline step {num} ({name}) failed: {exc}") from exc
 
 
+def _churn_rates(ct: assoc.ContingencyTable) -> dict:
+    """Per row label of a table against ``Exited``, the share of its rows with ``Exited`` 1."""
+    return {g: dict(zip(ct.col_labels, row)).get("1", 0) / sum(row) for g, row in zip(ct.row_labels, ct.counts)}
+
+
 def churn_pipeline(t: Table, evaluate_findings: Optional[bool] = None) -> ChurnReport:
     """Run the fixed churn analysis sequence and evaluate the findings.
 
     evaluate_findings=None auto-detects: claims get PASS/FAIL verdicts only
     on a full-scale (10000-row) table and NOT-EVALUATED otherwise. Any
-    failing step, the findings (step 10) included, aborts with the step
+    failing step, the findings (step 11) included, aborts with the step
     number and name.
     """
     schema = validate_schema(t)
@@ -188,21 +201,33 @@ def churn_pipeline(t: Table, evaluate_findings: Optional[bool] = None) -> ChurnR
         plots.append(("06_tenure_bar.svg", viz.plot_bar(tenure, "Customers by tenure")))
 
     with _step(8, "churn by geography"):
-        ct = assoc.contingency(t.column("Geography"), t.column("Exited"))
-        by_geo = [(g, dict(zip(ct.col_labels, row))) for g, row in zip(ct.row_labels, ct.counts)]
-        churn_by_geo = {g: cells.get("1", 0) / sum(cells.values()) for g, cells in by_geo}
+        exited = t.column("Exited")
+        ct = assoc.contingency(t.column("Geography"), exited)
+        churn_by_geo = _churn_rates(ct)
         # flattened grouped bar: stayed/exited counts per geography, zero cells omitted
         outcome = {"0": "stayed", "1": "exited"}
-        pairs = sorted((f"{g}/{outcome[e]}", k) for g, cells in by_geo for e, k in cells.items() if k)
+        pairs = sorted(
+            (f"{g}/{outcome[e]}", k)
+            for g, row in zip(ct.row_labels, ct.counts)
+            for e, k in zip(ct.col_labels, row)
+            if k
+        )
         bars = FrequencyTable(tuple(FreqRow(label, k, k / ct.total) for label, k in pairs))
         plots.append(("07_churn_by_geography_bar.svg", viz.plot_bar(bars, "Churn by geography")))
 
     with _step(9, "overall rates"):
-        churn_rate = float(table.numeric_values(t.column("Exited")).mean())  # step 8 needs Exited present
+        churn_rate = float(table.numeric_values(exited).mean())  # step 8 needs Exited present
         has_card = table.numeric_values(t.column("HasCrCard"))
         if not has_card.size:
             raise ValueError("column 'HasCrCard' has no present values")
         hascrcard_rate = float(has_card.mean())
+
+    with _step(10, "churn by age band and gender"):
+        # labels "[0,30)" .. "[60,inf]" sort in age order as text, the order
+        # contingency gives its row labels
+        bands = cleanse.bin_column(age, AGE_BANDS)
+        churn_by_age_band = _churn_rates(assoc.contingency(bands, exited))
+        churn_by_gender = _churn_rates(assoc.contingency(t.column("Gender"), exited))
 
     report = ChurnReport(
         row_count=t.row_count,
@@ -212,6 +237,8 @@ def churn_pipeline(t: Table, evaluate_findings: Optional[bool] = None) -> ChurnR
         churn_rate=churn_rate,
         hascrcard_rate=hascrcard_rate,
         churn_by_geography=churn_by_geo,
+        churn_by_age_band=churn_by_age_band,
+        churn_by_gender=churn_by_gender,
         credit_score_stats=cs_stats,
         credit_age_pearson=cs_age_r,
         tenure_counts=tenure,
@@ -220,7 +247,7 @@ def churn_pipeline(t: Table, evaluate_findings: Optional[bool] = None) -> ChurnR
         evaluated=evaluated,
         plots=tuple(plots),
     )
-    with _step(10, "findings"):
+    with _step(11, "findings"):
         return replace(report, findings=_evaluate_findings(report, t, cs_hist))
 
 
@@ -230,7 +257,7 @@ def _modal_bin_center(h: stats.Histogram) -> float:
 
 
 def _evaluate_findings(r: ChurnReport, t: Table, cs_hist: stats.Histogram) -> tuple[Finding, ...]:
-    """Findings F1..F12 read from the report, the analysed table ``t`` and
+    """Findings F1..F13 read from the report, the analysed table ``t`` and
     the credit-score histogram."""
     cs = r.credit_score_stats
     out: list[Finding] = []
@@ -297,10 +324,13 @@ def _evaluate_findings(r: ChurnReport, t: Table, cs_hist: stats.Histogram) -> tu
     add("F11", "France is the modal geography",
         {"modal_geography": modal_geo}, modal_geo == "France")
 
-    # F12 is measured but never asserted: "similar churn across geographies"
-    # is a qualitative figure reading, not a checkable tolerance.
+    # F12 and F13 are measured but never asserted: "similar churn across
+    # geographies" and churn by demographics are qualitative figure readings,
+    # not checkable tolerances.
     add("F12", "geographies show a similar pattern of exiting (reported, not asserted)",
         {"churn_by_geography": r.churn_by_geography}, None)
+    add("F13", "churn varies with customer age and gender (reported, not asserted)",
+        {"churn_by_age_band": r.churn_by_age_band, "churn_by_gender": r.churn_by_gender}, None)
     return tuple(out)
 
 
@@ -351,6 +381,11 @@ def render_report(
     return written
 
 
+def _rate_tables(r: ChurnReport) -> tuple[tuple[str, dict], ...]:
+    """(row heading, churn rate per label) for each churn cut, in report order."""
+    return (("geography", r.churn_by_geography), ("age band", r.churn_by_age_band), ("gender", r.churn_by_gender))
+
+
 def _md(text: str) -> str:
     """A markdown table cell: an unescaped ``|`` would split the cell."""
     return text.replace("|", "\\|")
@@ -371,13 +406,14 @@ def _render_markdown(r: ChurnReport) -> str:
     for name, count in r.null_counts.items():
         lines.append(f"| {_md(name)} | {count} |")
     lines.append("")
-    lines.append("## Churn rate by geography")
-    lines.append("")
-    lines.append("| geography | churn rate |")
-    lines.append("| --- | --- |")
-    for label, rate in r.churn_by_geography.items():
-        lines.append(f"| {_md(label)} | {rate:.4f} |")
-    lines.append("")
+    for what, rates in _rate_tables(r):
+        lines.append(f"## Churn rate by {what}")
+        lines.append("")
+        lines.append(f"| {what} | churn rate |")
+        lines.append("| --- | --- |")
+        for label, rate in rates.items():
+            lines.append(f"| {_md(label)} | {rate:.4f} |")
+        lines.append("")
     lines.append("## Findings")
     lines.append("")
     lines.append("| id | claim | measured | verdict |")
@@ -404,9 +440,11 @@ def _render_html(r: ChurnReport) -> str:
         f"<tr><td>{escape(name, quote=False)}</td><td>{count}</td></tr>"
         for name, count in r.null_counts.items()
     )
-    geo = "".join(
-        f"<tr><td>{escape(label, quote=False)}</td><td>{rate:.4f}</td></tr>"
-        for label, rate in r.churn_by_geography.items()
+    churn = "".join(
+        f"<h2>Churn rate by {what}</h2><table><tr><th>{what}</th><th>rate</th></tr>"
+        + "".join(f"<tr><td>{escape(k, quote=False)}</td><td>{v:.4f}</td></tr>" for k, v in rates.items())
+        + "</table>"
+        for what, rates in _rate_tables(r)
     )
     imgs = "".join(
         f'<figure><img src="plots/{fname}" alt="{fname}"/></figure>' for fname, _ in r.plots
@@ -421,8 +459,7 @@ def _render_html(r: ChurnReport) -> str:
         f"<li>Credit score vs age Pearson r: {r.credit_age_pearson:.4f}</li></ul>"
         "<h2>Null counts</h2><table><tr><th>column</th><th>nulls</th></tr>"
         f"{nulls}</table>"
-        "<h2>Churn rate by geography</h2><table><tr><th>geography</th><th>rate</th></tr>"
-        f"{geo}</table>"
+        f"{churn}"
         "<h2>Findings</h2><table><tr><th>id</th><th>claim</th><th>measured</th><th>verdict</th></tr>"
         f"{rows}</table>"
         f"<h2>Plots</h2>{imgs}"

@@ -49,21 +49,15 @@ class CsvOptions:
         boolean_columns: Column names that should be typed Boolean whenever
             all their cells are "0"/"1", even if only one of the two values
             occurs.
-        trim_whitespace: Strip surrounding whitespace from categorical cells.
-        canonical_case: Optional "lower"/"upper" folding for categorical
-            cells, applied after trimming.
+
+    Reading strips surrounding whitespace from every cell and keeps the case
+    of categorical cells as written.
     """
 
     delimiter: str = ","
     has_header: bool = True
     missing_tokens: tuple[str, ...] = ("", "NA")
     boolean_columns: tuple[str, ...] = ()
-    trim_whitespace: bool = True
-    canonical_case: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.canonical_case not in (None, "lower", "upper"):
-            raise ValueError("canonical_case must be None, 'lower' or 'upper'")
 
     def _missing_set(self) -> frozenset[str]:
         return frozenset(t.strip().casefold() for t in self.missing_tokens)
@@ -301,7 +295,7 @@ class Table:
         for c in self.columns:
             if c.name == name:
                 return c
-        raise KeyError(f"no column named {name!r}")
+        raise KeyError(f"no column named {name!r}{_did_you_mean(self, [name])}")
 
     def has_column(self, name: str) -> bool:
         return any(c.name == name for c in self.columns)
@@ -386,18 +380,10 @@ def _typed_column(name: str, cells: Sequence[str], opts: CsvOptions, missing_set
     if labels and (values := _finite_reals(stripped, labels, present)) is not None:
         boolean = labels <= {"0", "1"} and (name in opts.boolean_columns or len(labels) == 2)
         return Column.from_floats(name, Kind.BOOLEAN if boolean else Kind.NUMERIC, values, present)
-    source = stripped
-    if not opts.trim_whitespace:  # the labels are the raw cells; missing is still judged stripped
-        source = cells
-        raw = set(cells)
-        missing = set(compress(raw, map(missing.__contains__, map(str.strip, raw))))
-        labels = raw - missing
     texts = list(labels)
     index = {s: i for i, s in enumerate(texts)}
     index.update(dict.fromkeys(missing, -1))
-    if opts.canonical_case:
-        texts = list(map(getattr(str, opts.canonical_case), texts))
-    return Column.from_codes(name, np.fromiter(map(index.__getitem__, source), np.int64, n), texts)
+    return Column.from_codes(name, np.fromiter(map(index.__getitem__, stripped), np.int64, n), texts)
 
 
 def infer_schema(
@@ -474,18 +460,23 @@ def read_csv(path: Union[str, Path], options: Optional[CsvOptions] = None) -> Ta
 _WRITE_ROWS = 8192
 
 
-def _text_cells(c: Column, rows: slice, missing_token: str) -> list[str]:
-    """The CSV text of the cells of a column in ``rows``."""
-    if c.kind is Kind.CATEGORICAL:
-        return np.array(c._labels + (missing_token,), dtype=object)[c._data[rows]].tolist()
-    vals, present = c._data[rows], c._present[rows]
-    # integral floats print without the ".0"; both forms parse back to the value
+def _number_texts(vals: np.ndarray, present: np.ndarray, missing_token: str) -> list[str]:
+    """The text of each float: ``missing_token`` where not present, integral
+    values below 1e16 without the ".0", the others by ``repr``. Both forms
+    parse back to the value, so distinct values get distinct texts."""
     whole = present & (vals == np.trunc(vals)) & (np.abs(vals) < 1e16)
     other = present & ~whole
     texts = np.full(len(vals), missing_token, dtype=object)
     texts[whole] = list(map(str, vals[whole].astype(np.int64).tolist()))
     texts[other] = list(map(repr, vals[other].tolist()))
     return texts.tolist()
+
+
+def _text_cells(c: Column, rows: slice, missing_token: str) -> list[str]:
+    """The CSV text of the cells of a column in ``rows``."""
+    if c.kind is Kind.CATEGORICAL:
+        return np.array(c._labels + (missing_token,), dtype=object)[c._data[rows]].tolist()
+    return _number_texts(c._data[rows], c._present[rows], missing_token)
 
 
 def write_csv_to(t: Table, fh, options: Optional[CsvOptions] = None) -> None:
@@ -516,22 +507,33 @@ def write_csv(t: Table, path: Union[str, Path], options: Optional[CsvOptions] = 
     """Write a Table to a CSV file.
 
     ``read_csv`` gives back the same columns only where inference types each
-    column's written text as it was typed and the read options leave its
-    labels alone. It does not for a categorical column whose labels all read
-    as numbers or as 0/1 (``["1", "2"]`` reads back numeric), labels with
-    surrounding whitespace or case that the options trim or fold (``" x"``
-    reads back ``"x"``), a boolean column holding only one of 0 and 1 and not
-    named in ``boolean_columns`` (numeric), a numeric column holding exactly
-    0 and 1 (boolean), or an all-missing column (categorical).
+    column's written text as it was typed and reading leaves its labels
+    alone. It does not for a categorical column whose labels all read as
+    numbers or as 0/1 (``["1", "2"]`` reads back numeric), labels with
+    surrounding whitespace, which read back trimmed (``" x"`` reads back
+    ``"x"``), a boolean column holding only one of 0 and 1 and not named in
+    ``boolean_columns`` (numeric), a numeric column holding exactly 0 and 1
+    (boolean), or an all-missing column (categorical).
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         write_csv_to(t, fh, options)
 
 
+def _did_you_mean(t: Table, names: Sequence[str]) -> str:
+    """"; did you mean ...?" naming the one column that matches each of
+    ``names`` under case folding, where exactly one does; else ""."""
+    hints = []
+    for name in names:
+        matches = [c.name for c in t.columns if c.name.casefold() == name.casefold()]
+        if len(matches) == 1:
+            hints.append(repr(matches[0]))
+    return f"; did you mean {', '.join(hints)}?" if hints else ""
+
+
 def _check_known(t: Table, names: Sequence[str]) -> None:
     unknown = [n for n in names if not t.has_column(n)]
     if unknown:
-        raise ValueError(f"unknown columns: {unknown}")
+        raise ValueError(f"unknown columns: {unknown}{_did_you_mean(t, unknown)}")
 
 
 def drop_columns(t: Table, names: Sequence[str]) -> Table:

@@ -301,10 +301,7 @@ def _o_typed_column(name, cells, opts, missing_set):
     elif distinct and (parsed := _o_finite_reals(present, distinct)) is not None:
         kind = "numeric"
     else:
-        kind = "categorical"
-        parsed = present if opts.trim_whitespace else [c for c, s in zip(cells, marked) if s is not None]
-        if opts.canonical_case:
-            parsed = list(map(getattr(str, opts.canonical_case), parsed))
+        kind, parsed = "categorical", present
     it = iter(parsed)
     values = tuple(None if s is None else next(it) for s in marked)
     _o_check_cells(name, kind, values)

@@ -17,8 +17,6 @@ from edakit.cleanse import (
     MinMax,
     Mode,
     OutlierAction,
-    Power,
-    Product,
     Quantile,
     Sqrt,
     ZScore,
@@ -26,7 +24,6 @@ from edakit.cleanse import (
     bin_column,
     detect_outliers,
     encode,
-    engineer,
     handle_outliers,
     impute,
     transform,
@@ -302,32 +299,9 @@ class TestBin:
         out = bin_column(col(xs), EqualWidth(7))
         assert out.null_count == 0
 
-
-class TestEngineer:
-    def table(self):
-        return Table("t", (col([1, 2], "x"), col([3, 4], "y")), 2)
-
-    def test_product(self):
-        t = engineer(self.table(), [Product("x", "y")])
-        assert t.column("x*y").values == (3.0, 8.0)
-
-    def test_product_equals_square(self):
-        t = engineer(self.table(), [Product("x", "x"), Power("x", 2)])
-        assert t.column("x*x").values == t.column("x^2").values
-
-    def test_power_one_is_identity(self):
-        t = engineer(self.table(), [Power("x", 1)])
-        assert t.column("x^1").values == t.column("x").values
-
-    def test_missing_propagates(self):
-        t = Table("t", (col([1, None], "x"), col([3, 4], "y")), 2)
-        out = engineer(t, [Product("x", "y")])
-        assert out.column("x*y").missing == (False, True)
-
-    def test_unknown_column(self):
-        with pytest.raises(KeyError):
-            engineer(self.table(), [Product("x", "zz")])
-
-    def test_non_finite_power_rejected(self):
-        with pytest.raises(ValueError, match="row 0"):
-            engineer(Table("t", (col([0.0], "x"),), 1), [Power("x", -1)])
+    def test_close_edges_keep_distinct_labels(self):
+        # "{:g}" printed the first two edges alike, which merged two bins
+        out = bin_column(col([1e6, 1e6 + 3, 1e6 + 6, 1e6 + 10]), EqualWidth(4))
+        assert out.values == (
+            "[1000000,1000002.5)", "[1000002.5,1000005)", "[1000005,1000007.5)", "[1000007.5,1000010]"
+        )

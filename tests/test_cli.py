@@ -36,6 +36,16 @@ class TestDescribe:
         assert out == ""
         assert "error:" in err
 
+    def test_column_case_hint(self, capsys, fixture_csv):
+        code, out, err = run(capsys, "describe", str(fixture_csv), "--column", "age")
+        assert (code, out) == (2, "")
+        assert "no column named 'age'; did you mean 'Age'?" in err
+
+    def test_no_hint_without_case_match(self, capsys, fixture_csv):
+        code, _, err = run(capsys, "describe", str(fixture_csv), "--column", "agee")
+        assert code == 2
+        assert "no column named 'agee'" in err and "did you mean" not in err
+
     def test_categorical_column_rejected(self, capsys, fixture_csv):
         code, _, err = run(capsys, "describe", str(fixture_csv), "--column", "Geography")
         assert code == 2
@@ -135,6 +145,11 @@ class TestCorr:
         k = len(payload["labels"])
         values = payload["values"]
         assert all(values[i][j] == values[j][i] for i in range(k) for j in range(k))
+
+    def test_columns_case_hint(self, capsys, fixture_csv):
+        code, out, err = run(capsys, "corr", str(fixture_csv), "--columns", "age,Balance")
+        assert (code, out) == (2, "")
+        assert "unknown columns: ['age']; did you mean 'Age'?" in err
 
     def test_heatmap_written(self, capsys, fixture_csv, tmp_path):
         svg = tmp_path / "m.svg"

@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from edakit.report import (
@@ -20,8 +21,11 @@ from edakit.table import (
     categorical_column,
     drop_columns,
     numeric_column,
+    numeric_with_mask,
     read_csv,
 )
+
+from conftest import ROOT
 
 
 @pytest.fixture(scope="module")
@@ -132,12 +136,17 @@ class TestPipeline:
         ("Age", [], r"step 6 \(credit score vs age\)"),
         ("Tenure", [], r"step 7 \(tenure counts\)"),
         ("Exited", [], r"step 8 \(churn by geography\)"),
-        ("Balance", [], r"step 10 \(findings\)"),
-        ("EstimatedSalary", [], r"step 10 \(findings\)"),
+        ("Balance", [], r"step 11 \(findings\)"),
+        ("EstimatedSalary", [], r"step 11 \(findings\)"),
         ("HasCrCard", [], r"step 9 \(overall rates\) failed: .*HasCrCard"),
+        ("Age", [-1.0, 30.0], r"step 10 \(churn by age band and gender\) failed: .*Age"),
     ]
 
-    @pytest.mark.parametrize("name, kept, step", STEP_FAILURES, ids=[c[0] for c in STEP_FAILURES])
+    # a negative kept value gets its own id suffix, so "Age" stays the blanked-Age case
+    @pytest.mark.parametrize(
+        "name, kept, step", STEP_FAILURES,
+        ids=[c[0] + ("-negative" if any(v < 0 for v in c[1]) else "") for c in STEP_FAILURES],
+    )
     def test_step_error_names_step(self, fixture_table, name, kept, step):
         n = fixture_table.row_count
         build = {Kind.NUMERIC: numeric_column, Kind.CATEGORICAL: categorical_column,
@@ -188,6 +197,38 @@ class TestPipeline:
         assert "France/stayed" in bar and "exited" not in bar
 
 
+class TestChurnByAgeBandAndGender:
+    AGE_EDGES = [0.0, 30.0, 40.0, 50.0, 60.0, math.inf]
+    AGE_LABELS = ["[0,30)", "[30,40)", "[40,50)", "[50,60)", "[60,inf]"]
+
+    @staticmethod
+    def rates(keys, exited):
+        """Churn rate per distinct key, over rows where the key is not None."""
+        keys = np.array(keys, dtype=object)
+        return {k: float(exited[keys == k].mean()) for k in sorted(set(keys.tolist()) - {None})}
+
+    @pytest.mark.parametrize("csv_name", ["churn_fixture.csv", "churn_fixture_blanks.csv"])
+    def test_rates_match_numpy(self, csv_name):
+        t = read_csv(ROOT / "data" / csv_name)
+        r = churn_pipeline(t)
+        age, age_ok = numeric_with_mask(t.column("Age"))
+        exited, exited_ok = numeric_with_mask(t.column("Exited"))
+        band = np.searchsorted(self.AGE_EDGES, age, side="right") - 1
+        bands = [self.AGE_LABELS[b] if ok else None for b, ok in zip(band.tolist(), age_ok & exited_ok)]
+        gender = [g if ok else None for g, ok in zip(t.column("Gender").values, exited_ok)]
+        want_bands = self.rates(bands, exited)
+        want_gender = self.rates(gender, exited)
+        assert list(r.churn_by_age_band) == [k for k in self.AGE_LABELS if k in want_bands]
+        assert r.churn_by_age_band == pytest.approx(want_bands, rel=1e-12)
+        assert r.churn_by_gender == pytest.approx(want_gender, rel=1e-12)
+
+    def test_f13_never_evaluated(self, fixture_table):
+        r = churn_pipeline(fixture_table, evaluate_findings=True)
+        f13 = {f.claim_id: f for f in r.findings}["F13"]
+        assert f13.verdict is Verdict.NOT_EVALUATED
+        assert f13.measured == {"churn_by_age_band": r.churn_by_age_band, "churn_by_gender": r.churn_by_gender}
+
+
 class TestRender:
     def test_markdown_references_exactly_written_svgs(self, fixture_table, tmp_path):
         r = churn_pipeline(fixture_table)
@@ -217,7 +258,7 @@ class TestRender:
         render_report(r, ReportFormat.MARKDOWN, tmp_path)
         payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         assert payload["row_count"] == r.row_count
-        assert len(payload["findings"]) == 12
+        assert len(payload["findings"]) == 13
         assert payload["correlation_matrix"]["labels"] == list(r.correlation_heatmap.labels)
 
     def test_html_output(self, fixture_table, tmp_path):

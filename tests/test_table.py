@@ -92,32 +92,13 @@ class TestReadCsv:
 
 
 class TestReadCsvOptions:
-    def test_untrimmed_categorical_keeps_padding(self, tmp_path):
-        src = write_text(tmp_path, "a,b\n 1 , x\ny ,2\n, \n")
-        t = read_csv(src, CsvOptions(trim_whitespace=False))
-        assert t.column("a").kind is Kind.CATEGORICAL
-        assert t.column("a").values == (" 1 ", "y ", None)
-        assert t.column("b").values == (" x", "2", None)
-
-    def test_untrimmed_numeric_still_parses(self, tmp_path):
-        t = read_csv(write_text(tmp_path, "a\n 1.5\n2 \n"), CsvOptions(trim_whitespace=False))
-        assert t.column("a").kind is Kind.NUMERIC
-        assert t.column("a").values == (1.5, 2.0)
-
-    @pytest.mark.parametrize(
-        "case, expected",
-        [(None, ("Ab", "cD", None)), ("lower", ("ab", "cd", None)), ("upper", ("AB", "CD", None))],
-    )
-    def test_canonical_case(self, tmp_path, case, expected):
-        src = write_text(tmp_path, "g,n\n Ab ,1\ncD,0\nNA,1\n")
-        t = read_csv(src, CsvOptions(canonical_case=case))
-        assert t.column("g").values == expected
+    def test_default_reading_trims_and_keeps_case(self, tmp_path):
+        src = write_text(tmp_path, "g,n,x\n Ab ,1, 1.5\ncD,0,2 \nNA,1,3\n")
+        t = read_csv(src)
+        assert t.column("g").values == ("Ab", "cD", None)
         assert t.column("n").kind is Kind.BOOLEAN
-
-    def test_canonical_case_after_untrimmed(self, tmp_path):
-        src = write_text(tmp_path, "g\n Ab\n")
-        opts = CsvOptions(trim_whitespace=False, canonical_case="upper")
-        assert read_csv(src, opts).column("g").values == (" AB",)
+        assert t.column("x").kind is Kind.NUMERIC
+        assert t.column("x").values == (1.5, 2.0, 3.0)
 
     def test_padded_mixed_case_missing_tokens(self, tmp_path):
         src = write_text(tmp_path, "a,b\n  na ,x\n1,  Na\n N/A ,n/a\n")
@@ -148,8 +129,8 @@ class TestReadCsvOptions:
         "opts",
         [
             CsvOptions(),
-            CsvOptions(boolean_columns=("f",), canonical_case="lower"),
-            CsvOptions(trim_whitespace=False, missing_tokens=("NA", "", "-")),
+            CsvOptions(boolean_columns=("f",)),
+            CsvOptions(missing_tokens=("NA", "", "-")),
         ],
     )
     def test_infer_schema_matches_read_csv(self, tmp_path, opts):
@@ -239,6 +220,20 @@ class TestDropSelectFilter:
     def test_drop_unknown_lists_name(self):
         with pytest.raises(ValueError, match="Foo"):
             drop_columns(self.make(), ["Foo"])
+
+    def test_case_folded_name_hinted_not_matched(self):
+        t = Table("t", (numeric_column("Age", [1.0]), numeric_column("Ab", [2.0]), numeric_column("AB", [3.0])), 1)
+        with pytest.raises(KeyError, match=r"no column named 'age'; did you mean 'Age'\?"):
+            t.column("age")
+        with pytest.raises(ValueError, match=r"unknown columns: \['age', 'x'\]; did you mean 'Age'\?$"):
+            select_columns(t, ["age", "x"])
+        with pytest.raises(ValueError, match=r"did you mean 'Age'\?"):
+            drop_columns(t, ["AGE"])
+        # no hint when no name, or more than one, matches under case folding
+        for name in ("x", "ab"):
+            with pytest.raises(KeyError) as err:
+                t.column(name)
+            assert "did you mean" not in str(err.value)
 
     def test_original_unmodified(self):
         t = self.make()
