@@ -92,13 +92,18 @@ class TestReadCsv:
 
 
 class TestReadCsvOptions:
-    def test_default_reading_trims_and_keeps_case(self, tmp_path):
-        src = write_text(tmp_path, "g,n,x\n Ab ,1, 1.5\ncD,0,2 \nNA,1,3\n")
-        t = read_csv(src)
-        assert t.column("g").values == ("Ab", "cD", None)
+    def test_untrimmed_numeric_still_parses(self, tmp_path):
+        t = read_csv(write_text(tmp_path, "a\n 1.5\n2 \n"))
+        assert t.column("a").kind is Kind.NUMERIC
+        assert t.column("a").values == (1.5, 2.0)
+
+    @pytest.mark.parametrize("opts, expected", [(None, ("Ab", "cD", None))])
+    def test_canonical_case(self, tmp_path, opts, expected):
+        # Reading trims cells and keeps their case as written.
+        src = write_text(tmp_path, "g,n\n Ab ,1\ncD,0\nNA,1\n")
+        t = read_csv(src, opts)
+        assert t.column("g").values == expected
         assert t.column("n").kind is Kind.BOOLEAN
-        assert t.column("x").kind is Kind.NUMERIC
-        assert t.column("x").values == (1.5, 2.0, 3.0)
 
     def test_padded_mixed_case_missing_tokens(self, tmp_path):
         src = write_text(tmp_path, "a,b\n  na ,x\n1,  Na\n N/A ,n/a\n")
