@@ -391,7 +391,7 @@ class Edges:
     def __post_init__(self) -> None:
         if len(self.edges) < 2:
             raise ValueError("need at least 2 edges")
-        if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
+        if any(not a < b for a, b in zip(self.edges, self.edges[1:])):  # NaN compares False
             raise ValueError("edges must be strictly increasing")
 
 

@@ -10,9 +10,16 @@ boolean) and a bool present mask; a categorical column holds int64 codes
 ``Column.values`` derives plain Python cells (floats, strings, 0/1 ints,
 ``None`` where missing) on each read; no operation in the package uses it.
 
-``read_csv`` and ``infer_schema`` share one column builder. It strips each
-CSV cell once, types the column from the set of its distinct cells, and
-converts the column in whole-column passes.
+``read_csv`` and ``infer_schema`` share one column typer. ``read_csv`` takes
+blocks of 8192 rows from one ``csv.reader``, checking each row's field count
+as it goes, feeds each block's columns to the typer and drops the block's text
+before reading the next, so it holds one block of text, not the file. The
+typer strips each cell once and types a block from the set of its distinct
+cells, in whole-block passes: a column stays numeric or boolean while every
+block parses as finite reals, and is categorical from its first block that
+does not. A column that fails only after earlier blocks held numbers has lost
+their text, so ``read_csv`` re-reads the file for such columns alone and types
+each from its whole text; they are rare.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -311,9 +318,6 @@ class Table:
             raise KeyError(f"no column named {new.name!r}")
         return self.with_columns(new if c.name == new.name else c for c in self.columns)
 
-    def append_columns(self, new: Sequence[Column]) -> "Table":
-        return self.with_columns(list(self.columns) + list(new))
-
 
 class SchemaEntry(NamedTuple):
     name: str
@@ -369,21 +373,70 @@ def _finite_reals(stripped: list[str], labels: set[str], present: np.ndarray) ->
     return values
 
 
+class _ColumnTyper:
+    """Types one raw text column, fed a block of its cells at a time, by the
+    rules of :func:`infer_schema`.
+
+    While every block's present cells are finite reals, the typer keeps each
+    block's floats and present mask, and the union of its labels while they
+    lie within {"0", "1"} (the boolean rule is on the text, so "1.0" keeps a
+    column numeric). From its first failing block the column is categorical,
+    coded through one label -> code dict that grows across blocks. Blocks with
+    no present cell carry no text, but earlier present numbers cannot be
+    recoded from their floats: the typer becomes ``stale``, ignores further
+    blocks, and the column must be typed again from its whole text.
+    """
+
+    def __init__(self, name: str, opts: CsvOptions, missing_set: frozenset) -> None:
+        self.name = name
+        self.named_boolean = name in opts.boolean_columns
+        self.missing_set = missing_set
+        self.values, self.present = [np.empty(0)], [np.empty(0, bool)]  # per block, while numeric
+        self.bits: Optional[set] = set()  # None once a present label lies outside {"0", "1"}
+        self.index: Optional[dict] = None  # label -> code, once categorical
+        self.codes: list[np.ndarray] = []
+        self.stale = False
+
+    def feed(self, cells: Sequence[str]) -> None:
+        if self.stale:
+            return
+        n = len(cells)
+        stripped = list(map(str.strip, cells))
+        distinct = set(stripped)
+        missing = set(compress(distinct, map(self.missing_set.__contains__, map(str.casefold, distinct))))
+        labels = distinct - missing  # the distinct present cells
+        if self.index is None:
+            present = ~np.fromiter(map(missing.__contains__, stripped), bool, n) if missing else np.ones(n, bool)
+            if (values := _finite_reals(stripped, labels, present)) is not None:
+                self.values.append(values)
+                self.present.append(present)
+                if self.bits is not None:
+                    self.bits = self.bits | labels if labels <= {"0", "1"} else None
+                return
+            if any(map(np.any, self.present)):
+                self.stale, self.values, self.present = True, [], []
+                return
+            self.index, self.codes = {}, [np.full(sum(map(len, self.present)), -1, np.int64)]
+        for label in labels.difference(self.index):
+            self.index[label] = len(self.index)
+        self.codes.append(np.fromiter(map(self.index.get, stripped, repeat(-1)), np.int64, n))
+
+    def column(self) -> Column:
+        if self.index is None:
+            present = np.concatenate(self.present)
+            if not present.any():
+                return Column.from_codes(self.name, np.full(len(present), -1), [])
+            boolean = self.bits is not None and (self.named_boolean or len(self.bits) == 2)
+            kind = Kind.BOOLEAN if boolean else Kind.NUMERIC
+            return Column.from_floats(self.name, kind, np.concatenate(self.values), present)
+        return Column.from_codes(self.name, np.concatenate(self.codes), list(self.index))
+
+
 def _typed_column(name: str, cells: Sequence[str], opts: CsvOptions, missing_set: frozenset) -> Column:
-    """Type one raw text column by the rules of :func:`infer_schema`."""
-    n = len(cells)
-    stripped = list(map(str.strip, cells))
-    distinct = set(stripped)
-    missing = set(compress(distinct, map(missing_set.__contains__, map(str.casefold, distinct))))
-    labels = distinct - missing  # the distinct present cells
-    present = ~np.fromiter(map(missing.__contains__, stripped), bool, n) if missing else np.ones(n, bool)
-    if labels and (values := _finite_reals(stripped, labels, present)) is not None:
-        boolean = labels <= {"0", "1"} and (name in opts.boolean_columns or len(labels) == 2)
-        return Column.from_floats(name, Kind.BOOLEAN if boolean else Kind.NUMERIC, values, present)
-    texts = list(labels)
-    index = {s: i for i, s in enumerate(texts)}
-    index.update(dict.fromkeys(missing, -1))
-    return Column.from_codes(name, np.fromiter(map(index.__getitem__, stripped), np.int64, n), texts)
+    """Type one raw text column, whole, by the rules of :func:`infer_schema`."""
+    typer = _ColumnTyper(name, opts, missing_set)
+    typer.feed(cells)
+    return typer.column()
 
 
 def infer_schema(
@@ -410,6 +463,18 @@ def infer_schema(
     return Schema(tuple(SchemaEntry(c.name, c.kind, c.null_count) for c in columns))
 
 
+# rows typed per read_csv step, which bounds the text held at once
+_READ_ROWS = 8192
+
+
+def _checked_rows(reader, n_cols: int, path: Path):
+    """The rows of ``reader``; one without ``n_cols`` fields raises, naming its line."""
+    for row in reader:
+        if len(row) != n_cols:
+            raise ValueError(f"{path} line {reader.line_num}: expected {n_cols} fields, got {len(row)}")
+        yield row
+
+
 def read_csv(path: Union[str, Path], options: Optional[CsvOptions] = None) -> Table:
     """Load a CSV file (RFC-4180 quoting, UTF-8, optional BOM) into a typed Table.
 
@@ -420,40 +485,40 @@ def read_csv(path: Union[str, Path], options: Optional[CsvOptions] = None) -> Ta
     """
     opts = options or CsvOptions()
     path = Path(path)
+    missing_set = opts._missing_set()
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=opts.delimiter)
         try:
             first = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: no header") from None
-        if opts.has_header:
-            names = [h.strip() for h in first]
-            rows = []
-        else:
-            names = [f"col{i}" for i in range(len(first))]
-            rows = [first]
+        names = [h.strip() for h in first] if opts.has_header else [f"col{i}" for i in range(len(first))]
         if any(not n for n in names):
             raise ValueError(f"{path}: empty header name")
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             raise ValueError(f"{path}: duplicate header names: {sorted(dupes)}")
-        n_cols = len(names)
-        for row in reader:
-            if len(row) != n_cols:
-                raise ValueError(
-                    f"{path} line {reader.line_num}: expected {n_cols} fields, got {len(row)}"
-                )
-            rows.append(row)
+        rows = _checked_rows(reader, len(names), path)
+        if not opts.has_header:
+            rows = chain([first], rows)
+        typers = [_ColumnTyper(name, opts, missing_set) for name in names]
+        n_rows = 0
+        while block := list(islice(rows, _READ_ROWS)):
+            n_rows += len(block)
+            for typer, cells in zip(typers, zip(*block)):
+                typer.feed(cells)
+            block = cells = None  # drop this block's text before the next is read
 
-    n_rows = len(rows)
-    raw = list(zip(*rows)) if rows else [()] * n_cols
-    del rows  # the row lists go; the cell strings live on in the column tuples
-    missing_set = opts._missing_set()
-    columns = []
-    for j, name in enumerate(names):
-        columns.append(_typed_column(name, raw[j], opts, missing_set))
-        raw[j] = None  # free each column's text once it is typed
-    return Table(path.stem, tuple(columns), n_rows)
+    stale = [j for j, typer in enumerate(typers) if typer.stale]
+    if stale:  # rare: numbers, then text in a later block; type the whole text again
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=opts.delimiter)
+            if opts.has_header:
+                next(reader)
+            for j, cells in zip(stale, zip(*([row[k] for k in stale] for row in reader))):
+                typers[j] = _ColumnTyper(names[j], opts, missing_set)
+                typers[j].feed(cells)
+    return Table(path.stem, tuple(typer.column() for typer in typers), n_rows)
 
 
 # rows formatted per write_csv_to step, which bounds the text held at once

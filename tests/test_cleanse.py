@@ -282,6 +282,10 @@ class TestBin:
         with pytest.raises(ValueError, match="outside"):
             bin_column(col([0.5, 2.0]), Edges((0.0, 1.0)))
 
+    def test_nan_edge_refused(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Edges((0.0, math.nan, 1.0))
+
     def test_quantile_quartiles_even_split(self):
         out = bin_column(col(list(range(1, 9))), Quantile(4))
         counts = {}

@@ -39,7 +39,7 @@ class TestDescribe:
     def test_column_case_hint(self, capsys, fixture_csv):
         code, out, err = run(capsys, "describe", str(fixture_csv), "--column", "age")
         assert (code, out) == (2, "")
-        assert "no column named 'age'; did you mean 'Age'?" in err
+        assert err == "error: no column named 'age'; did you mean 'Age'?\n"
 
     def test_no_hint_without_case_match(self, capsys, fixture_csv):
         code, _, err = run(capsys, "describe", str(fixture_csv), "--column", "agee")

@@ -41,6 +41,7 @@ from edakit.cleanse import (
     impute,
     transform,
 )
+from edakit import table
 from edakit.table import (
     Column,
     CsvOptions,
@@ -115,7 +116,7 @@ def read_cells(path, opts):
         return str(exc)
 
 
-def test_read_csv_matches_cell_reader(tmp_path):
+def check_against_cell_reader(tmp_path):
     rng = random.Random(8)
     path = tmp_path / "fuzz.csv"
     seen = Counter()
@@ -132,6 +133,92 @@ def test_read_csv_matches_cell_reader(tmp_path):
             seen.update(kind for _, kind, _ in want)
     # every path of the reader was taken many times
     assert min(seen[k] for k in ("boolean", "numeric", "categorical", "error")) >= 50, seen
+
+
+def test_read_csv_matches_cell_reader(tmp_path):
+    check_against_cell_reader(tmp_path)
+
+
+def test_read_csv_in_3_row_blocks_matches_cell_reader(tmp_path, monkeypatch):
+    # block edges and late kind changes fall inside the small cases
+    monkeypatch.setattr(table, "_READ_ROWS", 3)
+    check_against_cell_reader(tmp_path)
+
+
+class TestBlockReader:
+    """read_csv types 2 rows at a time here; every table equals the one read
+    in a single block."""
+
+    def read(self, monkeypatch, tmp_path, text, opts=None):
+        path = tmp_path / "blocks.csv"
+        path.write_text(text, encoding="utf-8")
+        whole = read_csv(path, opts)
+        monkeypatch.setattr(table, "_READ_ROWS", 2)
+        got = read_csv(path, opts)
+        assert got == whole
+        return got
+
+    def test_text_after_numbers_rereads_the_column(self, monkeypatch, tmp_path):
+        t = self.read(monkeypatch, tmp_path, "x,y\n1,1\n2,2\n3.5,3\n4,4\nabc,5\n")
+        assert t.column("x") == categorical_column("x", ["1", "2", "3.5", "4", "abc"])
+        assert t.column("y") == numeric_column("y", [1, 2, 3, 4, 5])
+
+    def test_zero_then_one_is_boolean(self, monkeypatch, tmp_path):
+        t = self.read(monkeypatch, tmp_path, "b\n0\n0\n1\n")
+        assert t.column("b") == boolean_column("b", [0, 0, 1])
+
+    def test_one_point_zero_keeps_numeric(self, monkeypatch, tmp_path):
+        t = self.read(monkeypatch, tmp_path, "v\n0\n1\n1.0\n")
+        assert t.column("v") == numeric_column("v", [0.0, 1.0, 1.0])
+
+    def test_missing_block_then_numbers(self, monkeypatch, tmp_path):
+        t = self.read(monkeypatch, tmp_path, "v\nNA\n\"\"\n2\n-3\n")
+        assert t.column("v") == numeric_column("v", [None, None, 2.0, -3.0])
+
+    def test_missing_block_then_text(self, monkeypatch, tmp_path):
+        t = self.read(monkeypatch, tmp_path, "v\n\"\"\nNA\nx\n")
+        assert t.column("v") == categorical_column("v", [None, None, "x"])
+
+    def test_headerless_blocks(self, monkeypatch, tmp_path):
+        t = self.read(monkeypatch, tmp_path, "1,a\n2,b\n3,a\n", CsvOptions(has_header=False))
+        assert t.row_count == 3
+        assert t.column("col0") == numeric_column("col0", [1, 2, 3])
+        assert t.column("col1") == categorical_column("col1", ["a", "b", "a"])
+
+    def test_ragged_row_in_later_block_names_its_line(self, monkeypatch, tmp_path):
+        # the quoted field spans lines 2-3, so the fourth row is on line 6
+        monkeypatch.setattr(table, "_READ_ROWS", 2)
+        path = tmp_path / "ragged.csv"
+        path.write_text('a,b\n1,"two\nlines"\n2,x\n3,y\n4\n5,z\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"line 6: expected 2 fields, got 1$"):
+            read_csv(path)
+
+
+def test_read_holds_a_block_of_text_not_the_file(tmp_path):
+    def write(path, n):
+        rng = random.Random(3)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("id,score,amount,flag,city\n")
+            for i in range(n):
+                city = rng.choice(["Paris", "Lyon", "Nice"])
+                fh.write(f"{i},{rng.randint(300, 850)},{rng.random() * 1e5:.2f},{i % 2},{city}\n")
+
+    def read_peak(path):
+        tracemalloc.start()
+        try:
+            t = read_csv(path)
+            return tracemalloc.get_traced_memory()[1], t
+        finally:
+            tracemalloc.stop()
+
+    write(tmp_path / "block.csv", table._READ_ROWS)
+    write(tmp_path / "big.csv", 50_000)
+    block_peak, _ = read_peak(tmp_path / "block.csv")
+    peak, t = read_peak(tmp_path / "big.csv")
+    typed = sum(c._data.nbytes + c._present.nbytes for c in t.columns)
+    # the cell strings take about ten times the typed arrays' bytes, so a
+    # reader holding the whole file's text would need some 10 * typed
+    assert peak < 2 * typed + block_peak, (peak, typed, block_peak)
 
 
 # ---------------------------------------------------------------------------

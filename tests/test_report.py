@@ -50,9 +50,8 @@ class TestValidateSchema:
             validate_schema(broken)
 
     def test_wrong_kind_reported(self, fixture_table):
-        bad = drop_columns(fixture_table, ["Geography"]).append_columns(
-            [numeric_column("Geography", [1.0] * fixture_table.row_count)]
-        )
+        kept = drop_columns(fixture_table, ["Geography"])
+        bad = kept.with_columns(kept.columns + (numeric_column("Geography", [1.0] * kept.row_count),))
         with pytest.raises(ValueError, match="Geography.*numeric"):
             validate_schema(bad)
 
@@ -271,7 +270,7 @@ class TestRender:
     def test_markdown_escapes_pipes_in_cells(self, fixture_table, tmp_path):
         geo = [{"Spain": "Spain|Islands"}.get(g, g) for g in fixture_table.column("Geography").values]
         t = fixture_table.replace_column(categorical_column("Geography", geo))
-        t = t.append_columns([categorical_column("Sur|name", ["x"] * t.row_count)])
+        t = t.with_columns(t.columns + (categorical_column("Sur|name", ["x"] * t.row_count),))
         render_report(churn_pipeline(t), ReportFormat.MARKDOWN, tmp_path)
         lines = (tmp_path / "report.md").read_text(encoding="utf-8").splitlines()
         assert "| Sur\\|name | 0 |" in lines
