@@ -237,7 +237,8 @@ def self_matrix():
 
 def scatter_reference(x, y, title=""):
     """plot_scatter's document built one point at a time, with Python's min
-    and max and the scale arithmetic written out per point."""
+    and max, the scale arithmetic written out per point and each marker
+    line written with ``_fmt``, not through ``_Canvas.circles``."""
     from edakit import viz
 
     pairs = [(a, b) for a, b in zip(x.values, y.values) if a is not None and b is not None]
@@ -264,7 +265,7 @@ def scatter_reference(x, y, title=""):
         return h - m - (v - ylo) / (yhi - ylo) * (h - 2 * m)
 
     for a, b in pairs:
-        cv.circle(sx(a), sy(b), 2, "#4878a8", cls="pt")
+        cv.parts.append(f'<circle cx="{viz._fmt(sx(a))}" cy="{viz._fmt(sy(b))}" r="2" fill="#4878a8" class="pt"/>\n')
     cv.text(w / 2, h - m / 4, x.name, anchor="middle")
     cv.text(m / 4, h / 2, y.name, anchor="middle")
     for v in (xlo, xhi):
@@ -306,3 +307,68 @@ class TestScatterMatchesPerPoint:
         self.check([-0.0, 5e-324, 0.0], [0.0, -0.0, 5e-324])
         self.check([0.0, 5e-324, -0.0], [5e-324, 0.0, -0.0])
         self.check([-0.0, 0.0, -1e-9, 1e-9], [-0.0, -0.0, 0.0, 0.0])
+
+    def test_heavily_repeated_coordinates(self):
+        import random
+
+        rng = random.Random(14)
+        xs = [rng.choice([1.5, -2.0, 7.25, 1e3]) for _ in range(3000)]
+        ys = [rng.choice([0.0, 1.0, 4.0]) for _ in range(3000)]
+        self.check(xs, ys)
+        self.check([5.0] * 3000, ys)
+
+    def test_signed_zero_data(self):
+        self.check([0.0, -0.0] * 40 + [1.0], [-0.0, 0.0, 0.0] * 27)
+        self.check([-0.0, 0.0] * 40, [0.0, 2.0] * 40)
+
+
+def circles_reference(cxs, cys, r, fill, cls):
+    """The marker lines of ``_Canvas.circles``, written one point at a time."""
+    from edakit import viz
+
+    return "".join(
+        f'<circle cx="{viz._fmt(a)}" cy="{viz._fmt(b)}" r="{viz._fmt(r)}" fill="{fill}" class="{cls}"/>\n'
+        for a, b in zip(cxs, cys)
+    )
+
+
+class TestCirclesMatchPerPoint:
+    @staticmethod
+    def check(cxs, cys, r=2, fill="#4878a8", cls="pt"):
+        import numpy as np
+
+        from edakit import viz
+
+        for make in (list, np.array):
+            cv = viz._Canvas("")
+            start = len(cv.parts)
+            cv.circles(make(cxs), make(cys), r, fill, cls)
+            assert "".join(cv.parts[start:]) == circles_reference(cxs, cys, r, fill, cls)
+
+    def test_signed_zeros(self):
+        zeros = [0.0, -0.0, -0.0, 0.0, 1e-5, -1e-5, -4e-5, -5e-5, 5e-5, -6e-5]
+        self.check(zeros, zeros[::-1])
+        self.check([-0.0] * 7, [0.0] * 7)
+
+    def test_four_decimal_ties(self):
+        # k/32 ends in 5 at the fifth decimal exactly; .4f rounds such ties to even
+        ties = [k / 32 for k in range(-96, 97)] + [1024 + k / 32 for k in range(64)]
+        self.check(ties, ties[::-1])
+        self.check(ties, [60.0] * len(ties), r=3, fill="#c03028", cls="outlier")
+
+    def test_special_values(self):
+        import math
+
+        vals = [math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324, -5e-324, 123456.78915, 0.1]
+        self.check(vals, vals[3:] + vals[:3])
+
+    def test_repeated_and_distinct(self):
+        import random
+
+        rng = random.Random(140)
+        for _ in range(20):
+            n = rng.randint(0, 500)
+            pool = [rng.uniform(-50, 850) for _ in range(rng.randint(1, 40))]
+            cxs = [rng.choice(pool) for _ in range(n)]
+            cys = [rng.uniform(60, 540) for _ in range(n)]
+            self.check(cxs, cys)
