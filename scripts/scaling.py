@@ -5,8 +5,9 @@ pipeline paths, timed in-process.
 Times Kendall's tau-b on one column pair (CreditScore, Age),
 agglomerative clustering of the CreditScore,Age matrix under each linkage,
 DBSCAN of the Balance,Age matrix (eps 500, min_pts 10, as in the
-benchmark), ``read_csv`` and ``write_csv`` of the whole table, and
-``churn_pipeline`` on it, at each size in --sizes. ``read_csv`` reads a
+benchmark), ``read_csv`` and ``write_csv`` of the whole table,
+``churn_pipeline`` on it, and ``plot_scatter`` of CreditScore against Age
+(the churn report's scatter), at each size in --sizes. ``read_csv`` reads a
 file that ``write_csv`` wrote to a temporary directory before timing. Every
 input is a ``scripts/make_fixture`` table built with ``N`` set to the size
 and ``SEED = 5``. A time is the median of --repeats calls; building the table
@@ -48,12 +49,14 @@ from edakit.assoc import kendall_tau  # noqa: E402
 from edakit.cluster import Linkage, agglomerative, dbscan  # noqa: E402
 from edakit.report import churn_pipeline  # noqa: E402
 from edakit.table import read_csv, write_csv  # noqa: E402
+from edakit.viz import plot_scatter  # noqa: E402
 
 SEED = 5
 KENDALL_PAIR = ("CreditScore", "Age")
 CLUSTER_COLUMNS = ("CreditScore", "Age")
 DBSCAN_COLUMNS = ("Balance", "Age")
 DBSCAN_EPS, DBSCAN_MIN_PTS = 500.0, 10
+SCATTER_PAIR = ("CreditScore", "Age")
 CAP_S = 60.0
 MAX_MB = 1000.0
 
@@ -85,6 +88,8 @@ def kernels(t, scratch: Path) -> dict:
     calls["read_csv"] = (lambda: read_csv(source), None)
     calls["write_csv"] = (lambda: write_csv(t, scratch / "written.csv"), None)
     calls["churn_pipeline"] = (lambda: churn_pipeline(t), None)
+    sx, sy = (t.column(name) for name in SCATTER_PAIR)
+    calls["plot_scatter"] = (lambda: plot_scatter(sx, sy), None)
     return calls
 
 

@@ -518,7 +518,11 @@ def read_csv(path: Union[str, Path], options: Optional[CsvOptions] = None) -> Ta
             for j, cells in zip(stale, zip(*([row[k] for k in stale] for row in reader))):
                 typers[j] = _ColumnTyper(names[j], opts, missing_set)
                 typers[j].feed(cells)
-    return Table(path.stem, tuple(typer.column() for typer in typers), n_rows)
+    columns = []
+    for j, typer in enumerate(typers):
+        typers[j] = None  # drop each typer's blocks once its column is built
+        columns.append(typer.column())
+    return Table(path.stem, tuple(columns), n_rows)
 
 
 # rows formatted per write_csv_to step, which bounds the text held at once

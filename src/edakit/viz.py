@@ -24,6 +24,11 @@ MARGIN = 60
 
 _UNDEFINED_FILL = "#808080"
 
+# markers laid out per _Canvas.circles step, which bounds the bytes held at once
+_CIRCLE_ROWS = 8192
+# characters encoded per SvgDoc.write step
+_WRITE_CHARS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SvgDoc:
@@ -32,7 +37,10 @@ class SvgDoc:
     body: str  # complete SVG 1.1 document text
 
     def write(self, path: Union[str, Path]) -> None:
-        Path(path).write_bytes(self.body.encode("utf-8"))
+        """Write ``body`` as UTF-8, a slice at a time, so no full-size copy is made."""
+        with open(path, "wb") as fh:
+            for start in range(0, len(self.body), _WRITE_CHARS):
+                fh.write(self.body[start:start + _WRITE_CHARS].encode("utf-8"))
 
 
 def _fmt(x: float) -> str:
@@ -43,6 +51,15 @@ def _fmt(x: float) -> str:
 
 def _tick(x: float) -> str:
     return f"{x:.4g}"
+
+
+def _encoded_fmt(values: np.ndarray) -> np.ndarray:
+    """Rows of a NUL-padded uint8 matrix: the UTF-8 bytes of ``_fmt`` of each value."""
+    texts = np.concatenate([
+        np.array([_fmt(v) for v in values[start:start + _CIRCLE_ROWS].tolist()], dtype=bytes)
+        for start in range(0, len(values), _CIRCLE_ROWS)
+    ])
+    return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
 
 
 class _Canvas:
@@ -71,18 +88,32 @@ class _Canvas:
             f' stroke="black" stroke-width="{_fmt(width)}"/>\n'
         )
 
-    def circle(self, cx: float, cy: float, r: float, fill: str, cls: Optional[str] = None) -> None:
-        self.circles([cx], [cy], r, fill, cls)
-
     def circles(
         self, cxs: Sequence[float], cys: Sequence[float], r: float, fill: str, cls: Optional[str] = None
     ) -> None:
-        """One circle per (cx, cy) pair; the shared attributes are formatted once."""
+        """One circle per (cx, cy) pair, with the bytes of one ``_fmt`` per coordinate.
+
+        ``_fmt`` runs once per distinct value of each coordinate array, never
+        per point, and the shared attributes are formatted once. Each block of
+        ``_CIRCLE_ROWS`` markers is laid out as the rows of a uint8 matrix
+        (the distinct texts gathered into place, NUL-padded) and appended as
+        one string, so no Python object is made per point.
+        """
+        cxs, cys = np.asarray(cxs, dtype=float), np.asarray(cys, dtype=float)
+        if len(cxs) == 0:
+            return
         c = f' class="{cls}"' if cls else ""
-        tail = f'" r="{_fmt(r)}" fill="{fill}"{c}/>\n'
-        self.parts.extend(
-            f'<circle cx="{a}" cy="{b}{tail}' for a, b in zip(map(_fmt, cxs), map(_fmt, cys))
-        )
+        # the padding NULs are dropped from each block, so no fixed text may hold one
+        fixed = [np.frombuffer(s.encode("utf-8"), np.uint8)
+                 for s in ('<circle cx="', '" cy="', f'" r="{_fmt(r)}" fill="{fill}"{c}/>\n')]
+        ux, ix = np.unique(cxs, return_inverse=True)  # equal values format equally, 0.0 and -0.0 too
+        uy, iy = np.unique(cys, return_inverse=True)
+        tx, ty = _encoded_fmt(ux), _encoded_fmt(uy)
+        for start in range(0, len(cxs), _CIRCLE_ROWS):
+            bx, by = tx[ix[start:start + _CIRCLE_ROWS]], ty[iy[start:start + _CIRCLE_ROWS]]
+            head, mid, tail = (np.broadcast_to(f, (len(bx), len(f))) for f in fixed)
+            rows = np.concatenate([head, bx, mid, by, tail], axis=1)
+            self.parts.append(rows[rows != 0].tobytes().decode("utf-8"))
 
     def text(self, x: float, y: float, s: str, anchor: str = "start", size: int = 11) -> None:
         self.parts.append(
@@ -177,8 +208,7 @@ def plot_box(
     cv.line(cx - box_w / 4, sy(w_hi), cx + box_w / 4, sy(w_hi))
     cv.rect(cx - box_w / 2, sy(stats.q3), box_w, sy(stats.q1) - sy(stats.q3), "#a8c4e0", cls="box")
     cv.line(cx - box_w / 2, sy(stats.median), cx + box_w / 2, sy(stats.median), width=2.0)
-    for v in points_beyond:
-        cv.circle(cx, sy(v), 3, "#c03028", cls="outlier")
+    cv.circles([cx] * len(points_beyond), [sy(v) for v in points_beyond], 3, "#c03028", cls="outlier")
     for v in (vlo, stats.median, vhi):
         cv.text(MARGIN - 6, sy(v) + 4, _tick(v), anchor="end")
     cv.line(MARGIN, MARGIN, MARGIN, HEIGHT - MARGIN)
@@ -209,7 +239,11 @@ def plot_bar(f: FrequencyTable, title: str = "") -> SvgDoc:
 
 
 def plot_scatter(x: Column, y: Column, title: str = "") -> SvgDoc:
-    """One marker per jointly present pair; axes autoscale with 5% padding."""
+    """One marker per jointly present pair; axes autoscale with 5% padding.
+
+    The pixel coordinates stay NumPy arrays, so the markers cost one ``_fmt``
+    per distinct coordinate (see ``_Canvas.circles``), not two per point.
+    """
     xs, ys = _joint_present(x, y)
     if len(xs) == 0:
         raise ValueError("no jointly present pairs to plot")
@@ -227,9 +261,7 @@ def plot_scatter(x: Column, y: Column, title: str = "") -> SvgDoc:
     sx = _x_scale(xlo, xhi)
     sy = _y_scale(ylo, yhi)
     # the scales map whole arrays element by element, in scalar arithmetic order
-    px = np.broadcast_to(sx(xs), xs.shape).tolist()
-    py = np.broadcast_to(sy(ys), ys.shape).tolist()
-    cv.circles(px, py, 2, "#4878a8", cls="pt")
+    cv.circles(np.broadcast_to(sx(xs), xs.shape), np.broadcast_to(sy(ys), ys.shape), 2, "#4878a8", cls="pt")
     cv.text(WIDTH / 2, HEIGHT - MARGIN / 4, x.name, anchor="middle")
     cv.text(MARGIN / 4, HEIGHT / 2, y.name, anchor="middle")
     for v in (xlo, xhi):

@@ -354,7 +354,7 @@ class TestCirclesMatchPerPoint:
         # k/32 ends in 5 at the fifth decimal exactly; .4f rounds such ties to even
         ties = [k / 32 for k in range(-96, 97)] + [1024 + k / 32 for k in range(64)]
         self.check(ties, ties[::-1])
-        self.check(ties, [60.0] * len(ties), r=3, fill="#c03028", cls="outlier")
+        self.check(ties, [60.0] * len(ties), r=1 / 32, fill="#c03028", cls="outlier")
 
     def test_special_values(self):
         import math
@@ -372,3 +372,33 @@ class TestCirclesMatchPerPoint:
             cxs = [rng.choice(pool) for _ in range(n)]
             cys = [rng.uniform(60, 540) for _ in range(n)]
             self.check(cxs, cys)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_block_edges(self, monkeypatch, n):
+        from edakit import viz
+
+        monkeypatch.setattr(viz, "_CIRCLE_ROWS", 4)
+        self.check([60 + k / 32 for k in range(n)], [540 - k / 32 for k in range(n)])
+        self.check([float(k % 2) for k in range(n)], [7.0] * n)
+        TestScatterMatchesPerPoint.check([k * 1.25 for k in range(n)], [(k * 7) % 3 for k in range(n)])
+
+
+def test_scatter_formats_each_distinct_coordinate_once(monkeypatch):
+    import importlib.util
+    from pathlib import Path
+
+    from edakit import viz
+
+    spec = importlib.util.spec_from_file_location(
+        "make_fixture", Path(__file__).resolve().parent.parent / "scripts" / "make_fixture.py")
+    fixture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixture)
+    fixture.N = 20_000
+    t = fixture.build_fixture()
+    x, y = t.column("CreditScore"), t.column("Age")
+    fmt, calls = viz._fmt, []
+    monkeypatch.setattr(viz, "_fmt", lambda v: calls.append(v) or fmt(v))
+    doc = plot_scatter(x, y)
+    assert len(elements_with_class(doc, "pt", tag="circle")) == 20_000
+    # axes, labels, ticks and the radius take 23 calls
+    assert len(calls) <= len(set(x.values)) + len(set(y.values)) + 32
