@@ -384,15 +384,11 @@ class TestCirclesMatchPerPoint:
 
 
 def test_scatter_formats_each_distinct_coordinate_once(monkeypatch):
-    import importlib.util
-    from pathlib import Path
+    from test_column_arrays import load_make_fixture
 
     from edakit import viz
 
-    spec = importlib.util.spec_from_file_location(
-        "make_fixture", Path(__file__).resolve().parent.parent / "scripts" / "make_fixture.py")
-    fixture = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fixture)
+    fixture = load_make_fixture()
     fixture.N = 20_000
     t = fixture.build_fixture()
     x, y = t.column("CreditScore"), t.column("Age")
