@@ -4,8 +4,9 @@ pipeline paths, timed in-process.
 
 Times Kendall's tau-b on one column pair (CreditScore, Age),
 agglomerative clustering of the CreditScore,Age matrix under each linkage,
-DBSCAN of the Balance,Age matrix (eps 500, min_pts 10, as in the
-benchmark), ``read_csv`` and ``write_csv`` of the whole table,
+k-means and the Gaussian mixture fit of that matrix (k 3, seed 1729, the
+CLI's default seed), DBSCAN of the Balance,Age matrix (eps 500, min_pts 10,
+as in the benchmark), ``read_csv`` and ``write_csv`` of the whole table,
 ``churn_pipeline`` on it, and ``plot_scatter`` of CreditScore against Age
 (the churn report's scatter), at each size in --sizes. ``read_csv`` reads a
 file that ``write_csv`` wrote to a temporary directory before timing. Every
@@ -46,7 +47,7 @@ sys.path.insert(0, str(ROOT / "scripts"))
 
 import make_fixture  # noqa: E402
 from edakit.assoc import kendall_tau  # noqa: E402
-from edakit.cluster import Linkage, agglomerative, dbscan  # noqa: E402
+from edakit.cluster import Linkage, agglomerative, dbscan, gmm, kmeans  # noqa: E402
 from edakit.report import churn_pipeline  # noqa: E402
 from edakit.table import read_csv, write_csv  # noqa: E402
 from edakit.viz import plot_scatter  # noqa: E402
@@ -54,6 +55,7 @@ from edakit.viz import plot_scatter  # noqa: E402
 SEED = 5
 KENDALL_PAIR = ("CreditScore", "Age")
 CLUSTER_COLUMNS = ("CreditScore", "Age")
+FIT_K, FIT_SEED = 3, 1729
 DBSCAN_COLUMNS = ("Balance", "Age")
 DBSCAN_EPS, DBSCAN_MIN_PTS = 500.0, 10
 SCATTER_PAIR = ("CreditScore", "Age")
@@ -82,6 +84,8 @@ def kernels(t, scratch: Path) -> dict:
     for linkage in Linkage:
         calls[f"agglomerative_{linkage.value}"] = (
             lambda linkage=linkage: agglomerative(data, linkage), 8 * n * n + 2**20)
+    calls["kmeans"] = (lambda: kmeans(data, FIT_K, FIT_SEED), None)
+    calls["gmm"] = (lambda: gmm(data, FIT_K, FIT_SEED), None)
     calls["dbscan"] = (lambda: dbscan(density, DBSCAN_EPS, DBSCAN_MIN_PTS), None)
     source = scratch / "table.csv"
     write_csv(t, source)

@@ -24,10 +24,6 @@ from . import assoc, cleanse, cluster, pca, report, stats, table, timeseries, vi
 DEFAULT_SEED = 1729
 
 
-def _seed_default() -> int:
-    return int(os.environ.get("EDA_SEED", DEFAULT_SEED))
-
-
 def _print_json(payload) -> None:
     print(json.dumps(stats._json_ready(payload), indent=2))
 
@@ -210,7 +206,7 @@ def cmd_plot(args) -> int:
     kind = args.kind
     if kind == "hist":
         c = t.column(_require(args.column, "--column"))
-        bins = stats.BinCount(args.bins) if args.bins else stats.AutoBins()
+        bins = stats.BinCount(args.bins) if args.bins is not None else stats.AutoBins()
         doc = viz.plot_histogram(stats.histogram(c, bins), args.title or c.name)
     elif kind == "box":
         c = t.column(_require(args.column, "--column"))
@@ -300,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float)
     p.add_argument("--min-pts", type=int, dest="min_pts")
     p.add_argument("--linkage", choices=["single", "complete", "average"], default="average")
-    p.add_argument("--seed", type=int, default=_seed_default())
+    # argparse applies type=int to a string default only for the subcommand that runs
+    p.add_argument("--seed", type=int, default=os.environ.get("EDA_SEED", str(DEFAULT_SEED)))
     p.add_argument("--columns", help="comma-separated column subset")
     p.set_defaults(fn=cmd_cluster)
 

@@ -26,21 +26,24 @@ _UNDEFINED_FILL = "#808080"
 
 # markers laid out per _Canvas.circles step, which bounds the bytes held at once
 _CIRCLE_ROWS = 8192
-# characters encoded per SvgDoc.write step
-_WRITE_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
 class SvgDoc:
-    width: int
-    height: int
-    body: str  # complete SVG 1.1 document text
+    """A complete SVG 1.1 document, kept as the text parts its canvas appended."""
+
+    parts: tuple[str, ...]
+
+    @property
+    def body(self) -> str:
+        """The document text, joined from ``parts`` on each access."""
+        return "".join(self.parts)
 
     def write(self, path: Union[str, Path]) -> None:
-        """Write ``body`` as UTF-8, a slice at a time, so no full-size copy is made."""
+        """Write the parts in order as UTF-8, encoding one part at a time."""
         with open(path, "wb") as fh:
-            for start in range(0, len(self.body), _WRITE_CHARS):
-                fh.write(self.body[start:start + _WRITE_CHARS].encode("utf-8"))
+            for part in self.parts:
+                fh.write(part.encode("utf-8"))
 
 
 def _fmt(x: float) -> str:
@@ -127,31 +130,19 @@ class _Canvas:
 
     def finish(self) -> SvgDoc:
         self.parts.append("</svg>\n")
-        return SvgDoc(WIDTH, HEIGHT, "".join(self.parts))
+        return SvgDoc(tuple(self.parts))
 
 
-def _x_scale(lo: float, hi: float):
+def _scale(lo: float, hi: float, origin: float, extent: float):
+    """Map [lo, hi] onto [origin, origin + extent]; y passes a negative extent, as SVG y grows down."""
     span = hi - lo
-    inner = WIDTH - 2 * MARGIN
 
-    def sx(v):
+    def s(v):
         if span == 0:
-            return MARGIN + inner / 2
-        return MARGIN + (v - lo) / span * inner
+            return origin + extent / 2
+        return origin + (v - lo) / span * extent
 
-    return sx
-
-
-def _y_scale(lo: float, hi: float):
-    span = hi - lo
-    inner = HEIGHT - 2 * MARGIN
-
-    def sy(v):
-        if span == 0:
-            return HEIGHT - MARGIN - inner / 2
-        return HEIGHT - MARGIN - (v - lo) / span * inner
-
-    return sy
+    return s
 
 
 def plot_histogram(h: Histogram, title: str = "") -> SvgDoc:
@@ -160,7 +151,7 @@ def plot_histogram(h: Histogram, title: str = "") -> SvgDoc:
     cv.axes()
     lo, hi = h.edges[0], h.edges[-1]
     max_count = max(h.counts) if h.counts else 1
-    sx = _x_scale(lo, hi)
+    sx = _scale(lo, hi, MARGIN, WIDTH - 2 * MARGIN)
     plot_h = HEIGHT - 2 * MARGIN
     if lo == hi:
         # single zero-width bin: render one full-width bar
@@ -199,7 +190,7 @@ def plot_box(
     values = [stats.min, stats.max, w_lo, w_hi, *points_beyond]
     vlo, vhi = min(values), max(values)
     pad = 0.05 * (vhi - vlo) if vhi > vlo else 0.5
-    sy = _y_scale(vlo - pad, vhi + pad)
+    sy = _scale(vlo - pad, vhi + pad, HEIGHT - MARGIN, -(HEIGHT - 2 * MARGIN))
     cx = WIDTH / 2
     box_w = 160.0
     cv.line(cx, sy(w_lo), cx, sy(stats.q1))
@@ -258,8 +249,8 @@ def plot_scatter(x: Column, y: Column, title: str = "") -> SvgDoc:
 
     xlo, xhi = padded(xs)
     ylo, yhi = padded(ys)
-    sx = _x_scale(xlo, xhi)
-    sy = _y_scale(ylo, yhi)
+    sx = _scale(xlo, xhi, MARGIN, WIDTH - 2 * MARGIN)
+    sy = _scale(ylo, yhi, HEIGHT - MARGIN, -(HEIGHT - 2 * MARGIN))
     # the scales map whole arrays element by element, in scalar arithmetic order
     cv.circles(np.broadcast_to(sx(xs), xs.shape), np.broadcast_to(sy(ys), ys.shape), 2, "#4878a8", cls="pt")
     cv.text(WIDTH / 2, HEIGHT - MARGIN / 4, x.name, anchor="middle")

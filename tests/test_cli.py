@@ -30,6 +30,11 @@ class TestDescribe:
         for key in ("count", "mean", "median", "q1", "q3", "skew_pearson", "kurtosis_class"):
             assert key in payload
 
+    def test_bad_seed_env_ignored_without_seed(self, capsys, fixture_csv, monkeypatch):
+        monkeypatch.setenv("EDA_SEED", "abc")
+        code, _, _ = run(capsys, "describe", str(fixture_csv))
+        assert code == 0
+
     def test_missing_file_exit_2(self, capsys):
         code, out, err = run(capsys, "describe", "/no/such/file.csv")
         assert code == 2
@@ -197,6 +202,18 @@ class TestCluster:
         assert code == 0
         assert json.loads(out)["seed"] == 99
 
+    def test_bad_seed_env_is_a_usage_error(self, capsys, fixture_csv, monkeypatch):
+        monkeypatch.setenv("EDA_SEED", "abc")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cluster", str(fixture_csv), "--algo", "kmeans", "--k", "2",
+                  "--columns", "CreditScore,Age"])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert [line for line in err.splitlines() if "error" in line] == [
+            "eda cluster: error: argument --seed: invalid int value: 'abc'"
+        ]
+        assert "Traceback" not in err
+
     def test_categorical_columns_rejected_without_selection(self, capsys, fixture_csv):
         code, _, err = run(capsys, "cluster", str(fixture_csv), "--algo", "kmeans", "--k", "2")
         assert code == 2
@@ -257,6 +274,14 @@ class TestPlotCommand:
         import xml.etree.ElementTree as ET
 
         ET.parse(out_svg)
+
+    def test_zero_bins_exit_2(self, capsys, fixture_csv, tmp_path):
+        out_svg = tmp_path / "h.svg"
+        code, _, err = run(capsys, "plot", str(fixture_csv), "--kind", "hist", "--column", "Age",
+                           "--bins", "0", "--out", str(out_svg))
+        assert code == 2
+        assert err == "error: bin count must be >= 1\n"
+        assert not out_svg.exists()
 
     def test_scatter_needs_axes(self, capsys, fixture_csv, tmp_path):
         code, _, err = run(capsys, "plot", str(fixture_csv), "--kind", "scatter",

@@ -67,9 +67,13 @@ class TestKMeans:
             kmeans(TOY, 5, seed=1)
 
     def test_k_exceeds_distinct(self):
-        data = np.array([[1.0, 1.0]] * 4 + [[2.0, 2.0]] * 4)
-        with pytest.raises(ValueError, match="distinct"):
+        data = np.array([[1.0, 1.0]] * 4 + [[2.0, 2.0]] * 4 + [[1.0, 1.0]])
+        assert kmeans(data, 2, seed=1).inertia == 0.0
+        # the scan stops at k distinct rows only when it finds them; the message counts them all
+        with pytest.raises(ValueError, match=r"^k=3 exceeds distinct points \(2\)$"):
             kmeans(data, 3, seed=1)
+        with pytest.raises(ValueError, match=r"^k=3 exceeds distinct points \(2\)$"):
+            kmeans(np.array([[0.0], [-0.0], [1.0]]), 3, seed=1)
 
     def test_inertia_history_non_increasing(self):
         for seed in range(10):

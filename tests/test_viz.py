@@ -181,16 +181,16 @@ class TestHeatmap:
 
 
 class TestDocumentProperties:
-    def docs(self):
+    def docs(self, suffix=""):
         h = Histogram(edges=(0.0, 1.0, 2.0), counts=(3, 5))
         x = numeric_column("x", [1, 2, 3])
         y = numeric_column("y", [4, 5, 6])
         return [
-            plot_histogram(h, "h"),
-            plot_bar(FrequencyTable((FreqRow("a", 2, 0.5), FreqRow("b", 2, 0.5))), "b"),
-            plot_scatter(x, y, "s"),
-            plot_heatmap(self_matrix(), "m"),
-            plot_box(summarize(numeric_column("v", [1, 2, 3, 9])), title="bx"),
+            plot_histogram(h, "h" + suffix),
+            plot_bar(FrequencyTable((FreqRow("a", 2, 0.5), FreqRow("b", 2, 0.5))), "b" + suffix),
+            plot_scatter(x, y, "s" + suffix),
+            plot_heatmap(self_matrix(), "m" + suffix),
+            plot_box(summarize(numeric_column("v", [1, 2, 3, 9])), title="bx" + suffix),
         ]
 
     def test_all_parse_as_xml(self):
@@ -222,8 +222,29 @@ class TestDocumentProperties:
 
     def test_write(self, tmp_path):
         path = tmp_path / "out.svg"
-        self.docs()[0].write(path)
-        assert path.read_bytes().startswith(b"<?xml")
+        for doc in self.docs() + self.docs(" Überblick – ü"):
+            doc.write(path)
+            assert path.read_bytes() == doc.body.encode("utf-8")
+            assert path.read_bytes().startswith(b"<?xml")
+
+    def test_finish_makes_no_copy_of_the_text(self):
+        import tracemalloc
+
+        import numpy as np
+
+        from edakit import viz
+
+        cv = viz._Canvas("t")
+        cv.circles(np.arange(20_000) * 1.0001, np.arange(20_000)[::-1] * 0.0137, 2, "#4878a8", "pt")
+        tracemalloc.start()
+        try:
+            doc = cv.finish()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = len(doc.body.encode("utf-8"))
+        assert size > 1_000_000
+        assert peak < size / 10
 
 
 def self_matrix():
