@@ -79,12 +79,8 @@ def kmeans(
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside valid range 1..{n}")
-    distinct = set()  # 0.0 and -0.0 are one row, as they compare equal
-    for row in x:
-        distinct.add(tuple(row))
-        if len(distinct) == k:
-            break
-    else:
+    distinct = {tuple(row) for row in x}
+    if k > len(distinct):
         raise ValueError(f"k={k} exceeds distinct points ({len(distinct)})")
 
     rng = SplitMix64(seed)

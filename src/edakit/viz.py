@@ -21,6 +21,9 @@ from .table import Column, FrequencyTable
 WIDTH = 800
 HEIGHT = 600
 MARGIN = 60
+# (origin, extent) of each plot axis for _scale; y runs up the page, so its extent is negative
+_X_AXIS = (MARGIN, WIDTH - 2 * MARGIN)
+_Y_AXIS = (HEIGHT - MARGIN, -(HEIGHT - 2 * MARGIN))
 
 _UNDEFINED_FILL = "#808080"
 
@@ -134,7 +137,7 @@ class _Canvas:
 
 
 def _scale(lo: float, hi: float, origin: float, extent: float):
-    """Map [lo, hi] onto [origin, origin + extent]; y passes a negative extent, as SVG y grows down."""
+    """Map [lo, hi] onto [origin, origin + extent], as given by _X_AXIS or _Y_AXIS."""
     span = hi - lo
 
     def s(v):
@@ -151,7 +154,7 @@ def plot_histogram(h: Histogram, title: str = "") -> SvgDoc:
     cv.axes()
     lo, hi = h.edges[0], h.edges[-1]
     max_count = max(h.counts) if h.counts else 1
-    sx = _scale(lo, hi, MARGIN, WIDTH - 2 * MARGIN)
+    sx = _scale(lo, hi, *_X_AXIS)
     plot_h = HEIGHT - 2 * MARGIN
     if lo == hi:
         # single zero-width bin: render one full-width bar
@@ -190,7 +193,7 @@ def plot_box(
     values = [stats.min, stats.max, w_lo, w_hi, *points_beyond]
     vlo, vhi = min(values), max(values)
     pad = 0.05 * (vhi - vlo) if vhi > vlo else 0.5
-    sy = _scale(vlo - pad, vhi + pad, HEIGHT - MARGIN, -(HEIGHT - 2 * MARGIN))
+    sy = _scale(vlo - pad, vhi + pad, *_Y_AXIS)
     cx = WIDTH / 2
     box_w = 160.0
     cv.line(cx, sy(w_lo), cx, sy(stats.q1))
@@ -249,8 +252,8 @@ def plot_scatter(x: Column, y: Column, title: str = "") -> SvgDoc:
 
     xlo, xhi = padded(xs)
     ylo, yhi = padded(ys)
-    sx = _scale(xlo, xhi, MARGIN, WIDTH - 2 * MARGIN)
-    sy = _scale(ylo, yhi, HEIGHT - MARGIN, -(HEIGHT - 2 * MARGIN))
+    sx = _scale(xlo, xhi, *_X_AXIS)
+    sy = _scale(ylo, yhi, *_Y_AXIS)
     # the scales map whole arrays element by element, in scalar arithmetic order
     cv.circles(np.broadcast_to(sx(xs), xs.shape), np.broadcast_to(sy(ys), ys.shape), 2, "#4878a8", cls="pt")
     cv.text(WIDTH / 2, HEIGHT - MARGIN / 4, x.name, anchor="middle")

@@ -69,7 +69,7 @@ class TestKMeans:
     def test_k_exceeds_distinct(self):
         data = np.array([[1.0, 1.0]] * 4 + [[2.0, 2.0]] * 4 + [[1.0, 1.0]])
         assert kmeans(data, 2, seed=1).inertia == 0.0
-        # the scan stops at k distinct rows only when it finds them; the message counts them all
+        # the message counts every distinct row; 0.0 and -0.0 are one row, as they compare equal
         with pytest.raises(ValueError, match=r"^k=3 exceeds distinct points \(2\)$"):
             kmeans(data, 3, seed=1)
         with pytest.raises(ValueError, match=r"^k=3 exceeds distinct points \(2\)$"):
