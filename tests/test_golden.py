@@ -73,6 +73,21 @@ CASES: dict[str, list[str]] = {
     "timeseries_acf": [
         "timeseries", "{csv}", "--column", "EstimatedSalary", "--op", "acf", "--max-lag", "10",
     ],
+    "timeseries_ma": [
+        "timeseries", "{csv}", "--column", "Balance", "--op", "ma", "--window", "7",
+    ],
+    "timeseries_smooth": [
+        "timeseries", "{csv}", "--column", "Balance", "--op", "smooth", "--alpha", "0.3",
+    ],
+    "timeseries_diff": [
+        "timeseries", "{csv}", "--column", "Balance", "--op", "diff", "--lag", "1",
+    ],
+    "timeseries_pacf": [
+        "timeseries", "{csv}", "--column", "EstimatedSalary", "--op", "pacf", "--max-lag", "10",
+    ],
+    "timeseries_stationarity": [
+        "timeseries", "{csv}", "--column", "EstimatedSalary", "--op", "stationarity",
+    ],
     "plot_hist": ["plot", "{csv}", "--kind", "hist", "--column", "CreditScore", "--out", "{out}/hist.svg"],
     "plot_box": ["plot", "{csv}", "--kind", "box", "--column", "Age", "--out", "{out}/box.svg"],
     "plot_bar": ["plot", "{csv}", "--kind", "bar", "--column", "Geography", "--out", "{out}/bar.svg"],
