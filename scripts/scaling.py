@@ -6,9 +6,11 @@ Times Kendall's tau-b on one column pair (CreditScore, Age),
 agglomerative clustering of the CreditScore,Age matrix under each linkage,
 k-means and the Gaussian mixture fit of that matrix (k 3, seed 1729, the
 CLI's default seed), DBSCAN of the Balance,Age matrix (eps 500, min_pts 10,
-as in the benchmark), ``read_csv`` and ``write_csv`` of the whole table,
-``churn_pipeline`` on it, and ``plot_scatter`` of CreditScore against Age
-(the churn report's scatter), at each size in --sizes. ``read_csv`` reads a
+as in the benchmark), the additive decomposition (period 12) and the
+moving average (window 7) of the Balance series, ``read_csv`` and
+``write_csv`` of the whole table, ``churn_pipeline`` on it, and
+``plot_scatter`` of CreditScore against Age (the churn report's scatter), at
+each size in --sizes. ``read_csv`` reads a
 file that ``write_csv`` wrote to a temporary directory before timing. Every
 input is a ``scripts/make_fixture`` table built with ``N`` set to the size
 and ``SEED = 5``. A time is the median of --repeats calls; building the table
@@ -49,7 +51,8 @@ import make_fixture  # noqa: E402
 from edakit.assoc import kendall_tau  # noqa: E402
 from edakit.cluster import Linkage, agglomerative, dbscan, gmm, kmeans  # noqa: E402
 from edakit.report import churn_pipeline  # noqa: E402
-from edakit.table import read_csv, write_csv  # noqa: E402
+from edakit.table import numeric_values, read_csv, write_csv  # noqa: E402
+from edakit.timeseries import decompose_additive, moving_average, series  # noqa: E402
 from edakit.viz import plot_scatter  # noqa: E402
 
 SEED = 5
@@ -58,6 +61,8 @@ CLUSTER_COLUMNS = ("CreditScore", "Age")
 FIT_K, FIT_SEED = 3, 1729
 DBSCAN_COLUMNS = ("Balance", "Age")
 DBSCAN_EPS, DBSCAN_MIN_PTS = 500.0, 10
+SERIES_COLUMN = "Balance"
+DECOMPOSE_PERIOD, MA_WINDOW = 12, 7
 SCATTER_PAIR = ("CreditScore", "Age")
 CAP_S = 60.0
 MAX_MB = 1000.0
@@ -87,6 +92,9 @@ def kernels(t, scratch: Path) -> dict:
     calls["kmeans"] = (lambda: kmeans(data, FIT_K, FIT_SEED), None)
     calls["gmm"] = (lambda: gmm(data, FIT_K, FIT_SEED), None)
     calls["dbscan"] = (lambda: dbscan(density, DBSCAN_EPS, DBSCAN_MIN_PTS), None)
+    s = series(numeric_values(t.column(SERIES_COLUMN)))
+    calls["decompose"] = (lambda: decompose_additive(s, DECOMPOSE_PERIOD), None)
+    calls["moving_average"] = (lambda: moving_average(s, MA_WINDOW), None)
     source = scratch / "table.csv"
     write_csv(t, source)
     calls["read_csv"] = (lambda: read_csv(source), None)

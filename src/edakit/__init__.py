@@ -80,7 +80,6 @@ from .timeseries import (
     Decomposition,
     TimeSeries,
     acf,
-    cumulative_sum,
     decompose_additive,
     difference,
     exp_smoothing,

@@ -177,11 +177,11 @@ def cmd_timeseries(args) -> int:
     s = timeseries.series(table.numeric_values(c))
     op = args.op
     if op == "ma":
-        out = {"op": op, "values": list(timeseries.moving_average(s, args.window).values)}
+        out = {"op": op, "values": timeseries.moving_average(s, args.window).values.tolist()}
     elif op == "smooth":
-        out = {"op": op, "values": list(timeseries.exp_smoothing(s, args.alpha).values)}
+        out = {"op": op, "values": timeseries.exp_smoothing(s, args.alpha).values.tolist()}
     elif op == "diff":
-        out = {"op": op, "values": list(timeseries.difference(s, args.lag).values)}
+        out = {"op": op, "values": timeseries.difference(s, args.lag).values.tolist()}
     elif op == "acf":
         out = {"op": op, "values": list(timeseries.acf(s, args.max_lag))}
     elif op == "pacf":

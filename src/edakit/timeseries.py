@@ -4,31 +4,34 @@ classical additive decomposition, and a segment-based stationarity check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Ordered finite observations; missing values are not representable."""
+    """Ordered finite observations as a read-only float64 array; missing
+    values are not representable. Build one with :func:`series`, which copies
+    its input; the constructor takes ownership of the array it is given."""
 
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.values) < 1:
+        if self.values.ndim != 1 or len(self.values) < 1:
             raise ValueError("time series must have at least one value")
-        if any(not math.isfinite(v) for v in self.values):
+        if not np.isfinite(self.values).all():
             raise ValueError("time series values must be finite")
+        self.values.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.values)
 
 
 def series(values: Sequence[float]) -> TimeSeries:
-    return TimeSeries(tuple(float(v) for v in values))
+    return TimeSeries(np.array(values, dtype=float))
 
 
 def moving_average(s: TimeSeries, window: int) -> TimeSeries:
@@ -40,19 +43,18 @@ def moving_average(s: TimeSeries, window: int) -> TimeSeries:
     n = len(s)
     if not 1 <= window <= n:
         raise ValueError(f"window {window} outside valid range 1..{n}")
-    x = np.array(s.values)
-    out = [float(np.mean(x[t : t + window])) for t in range(n - window + 1)]
-    return TimeSeries(tuple(out))
+    return TimeSeries(sliding_window_view(s.values, window).mean(axis=1))
 
 
 def exp_smoothing(s: TimeSeries, alpha: float) -> TimeSeries:
     """Simple exponential smoothing, s0 = x0, st = a*xt + (1-a)*s(t-1)."""
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha {alpha} outside (0, 1]")
-    out = [s.values[0]]
-    for v in s.values[1:]:
+    x = s.values.tolist()
+    out = [x[0]]
+    for v in x[1:]:
         out.append(alpha * v + (1 - alpha) * out[-1])
-    return TimeSeries(tuple(out))
+    return TimeSeries(np.array(out))
 
 
 def difference(s: TimeSeries, lag: int = 1) -> TimeSeries:
@@ -60,13 +62,8 @@ def difference(s: TimeSeries, lag: int = 1) -> TimeSeries:
     n = len(s)
     if not 1 <= lag < n:
         raise ValueError(f"lag {lag} outside valid range 1..{n - 1}")
-    x = np.array(s.values)
-    return TimeSeries(tuple(float(v) for v in x[lag:] - x[:-lag]))
-
-
-def cumulative_sum(s: TimeSeries) -> TimeSeries:
-    """Running sums; difference(cumulative_sum(s), 1) recovers s[1:]."""
-    return TimeSeries(tuple(float(v) for v in np.cumsum(np.array(s.values))))
+    x = s.values
+    return TimeSeries(x[lag:] - x[:-lag])
 
 
 def acf(s: TimeSeries, max_lag: int) -> tuple[float, ...]:
@@ -79,7 +76,7 @@ def acf(s: TimeSeries, max_lag: int) -> tuple[float, ...]:
     n = len(s)
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag {max_lag} outside valid range 0..{n - 1}")
-    x = np.array(s.values)
+    x = s.values
     d = x - x.mean()
     denom = float(np.sum(d * d))
     if denom == 0:
@@ -115,26 +112,30 @@ def pacf(s: TimeSeries, max_lag: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Additive split x = trend + seasonal + residual.
+    """Additive split x = trend + seasonal + residual, as read-only arrays.
 
-    Trend (and hence residual) is None at the edge indices the centered
+    Trend (and hence residual) is NaN at the edge indices the centered
     moving average cannot reach; at every other index the three parts sum
     back to the observation.
     """
 
-    trend: tuple[Optional[float], ...]
-    seasonal: tuple[float, ...]
-    residual: tuple[Optional[float], ...]
+    trend: np.ndarray
+    seasonal: np.ndarray
+    residual: np.ndarray
     period: int
+
+    def __post_init__(self) -> None:
+        for part in (self.trend, self.seasonal, self.residual):
+            part.flags.writeable = False
 
     def to_dict(self) -> dict:
         return {
             "period": self.period,
-            "trend": list(self.trend),
-            "seasonal": list(self.seasonal),
-            "residual": list(self.residual),
+            "trend": self.trend.tolist(),
+            "seasonal": self.seasonal.tolist(),
+            "residual": self.residual.tolist(),
         }
 
 
@@ -150,33 +151,25 @@ def decompose_additive(s: TimeSeries, period: int) -> Decomposition:
         raise ValueError("period must be >= 2")
     if n < 2 * period:
         raise ValueError(f"series of length {n} too short for period {period} (need >= {2 * period})")
-    x = np.array(s.values)
+    x = s.values
 
     half = period // 2
-    trend: list[Optional[float]] = [None] * n
+    trend = np.full(n, np.nan)
     if period % 2 == 1:
-        for t in range(half, n - half):
-            trend[t] = float(np.mean(x[t - half : t + half + 1]))
+        trend[half : n - half] = sliding_window_view(x, period).mean(axis=1)
     else:
-        for t in range(half, n - half):
-            window = 0.5 * x[t - half] + float(np.sum(x[t - half + 1 : t + half])) + 0.5 * x[t + half]
-            trend[t] = float(window / period)
+        inner = sliding_window_view(x[1:-1], period - 1).sum(axis=1)
+        trend[half : n - half] = (0.5 * x[: -2 * half] + inner + 0.5 * x[2 * half :]) / period
+    detrended = x - trend
 
-    phase_sums = [0.0] * period
-    phase_counts = [0] * period
-    for t in range(n):
-        if trend[t] is not None:
-            phase_sums[t % period] += float(x[t]) - trend[t]
-            phase_counts[t % period] += 1
-    seasonal_index = [phase_sums[q] / phase_counts[q] for q in range(period)]
+    # Phase q's defined values, summed left to right from 0.0 as a running
+    # total would be; np.cumsum is sequential, unlike np.sum.
+    defined = detrended[half : n - half]
+    phases = [defined[(q - half) % period :: period] for q in range(period)]
+    seasonal_index = [float(np.cumsum(np.append(0.0, d))[-1]) / len(d) for d in phases]
     center = sum(seasonal_index) / period
-    seasonal_index = [float(v - center) for v in seasonal_index]
-
-    seasonal = tuple(seasonal_index[t % period] for t in range(n))
-    residual = tuple(
-        None if trend[t] is None else float(x[t]) - trend[t] - seasonal[t] for t in range(n)
-    )
-    return Decomposition(tuple(trend), seasonal, residual, period)
+    seasonal = np.resize(np.array(seasonal_index) - center, n)
+    return Decomposition(trend, seasonal, detrended - seasonal, period)
 
 
 @dataclass(frozen=True)
@@ -210,7 +203,7 @@ def stationarity_check(
         raise ValueError("need at least 2 segments")
     if n < 2 * segments:
         raise ValueError(f"series of length {n} too short for {segments} segments")
-    x = np.array(s.values)
+    x = s.values
     base = n // segments
     bounds = [i * base for i in range(segments)] + [n]
     means = []

@@ -359,3 +359,46 @@ def o_format_numeric(v: float) -> str:
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
+
+
+# The tuple-of-floats time-series kernels that the whole-array ones replaced,
+# kept as they were: one np.mean or np.sum per output row, None where the
+# trend is undefined. Each takes the series as a tuple of Python floats.
+
+
+def o_moving_average(values, window):
+    n = len(values)
+    x = np.array(values)
+    return tuple(float(np.mean(x[t : t + window])) for t in range(n - window + 1))
+
+
+def o_decompose_additive(values, period):
+    """(trend, seasonal, residual) tuples of the classical additive split."""
+    n = len(values)
+    x = np.array(values)
+
+    half = period // 2
+    trend = [None] * n
+    if period % 2 == 1:
+        for t in range(half, n - half):
+            trend[t] = float(np.mean(x[t - half : t + half + 1]))
+    else:
+        for t in range(half, n - half):
+            window = 0.5 * x[t - half] + float(np.sum(x[t - half + 1 : t + half])) + 0.5 * x[t + half]
+            trend[t] = float(window / period)
+
+    phase_sums = [0.0] * period
+    phase_counts = [0] * period
+    for t in range(n):
+        if trend[t] is not None:
+            phase_sums[t % period] += float(x[t]) - trend[t]
+            phase_counts[t % period] += 1
+    seasonal_index = [phase_sums[q] / phase_counts[q] for q in range(period)]
+    center = sum(seasonal_index) / period
+    seasonal_index = [float(v - center) for v in seasonal_index]
+
+    seasonal = tuple(seasonal_index[t % period] for t in range(n))
+    residual = tuple(
+        None if trend[t] is None else float(x[t]) - trend[t] - seasonal[t] for t in range(n)
+    )
+    return tuple(trend), seasonal, residual
