@@ -8,10 +8,13 @@ k-means and the Gaussian mixture fit of that matrix (k 3, seed 1729, the
 CLI's default seed), DBSCAN of the Balance,Age matrix (eps 500, min_pts 10,
 as in the benchmark), the additive decomposition (period 12) and the
 moving average (window 7) of the Balance series, ``read_csv`` and
-``write_csv`` of the whole table, ``churn_pipeline`` on it, and
-``plot_scatter`` of CreditScore against Age (the churn report's scatter), at
-each size in --sizes. ``read_csv`` reads a
-file that ``write_csv`` wrote to a temporary directory before timing. Every
+``write_csv`` of the whole table, ``churn_pipeline`` on it, ``plot_scatter``
+of CreditScore against Age (the churn report's scatter) written to an SVG
+file, since its markers are laid out as the file is written, and the JSON
+text of the decomposition (``eda timeseries --op decompose``'s payload, built
+before timing) written through ``stats._write_json``, at each size in
+--sizes. ``read_csv`` reads a file that ``write_csv`` wrote to a temporary
+directory before timing, and the written files go to the same directory. Every
 input is a ``scripts/make_fixture`` table built with ``N`` set to the size
 and ``SEED = 5``. A time is the median of --repeats calls; building the table
 is not timed. One more call runs under ``tracemalloc`` for the kernel's
@@ -51,6 +54,7 @@ import make_fixture  # noqa: E402
 from edakit.assoc import kendall_tau  # noqa: E402
 from edakit.cluster import Linkage, agglomerative, dbscan, gmm, kmeans  # noqa: E402
 from edakit.report import churn_pipeline  # noqa: E402
+from edakit.stats import _write_json  # noqa: E402
 from edakit.table import numeric_values, read_csv, write_csv  # noqa: E402
 from edakit.timeseries import decompose_additive, moving_average, series  # noqa: E402
 from edakit.viz import plot_scatter  # noqa: E402
@@ -94,6 +98,7 @@ def kernels(t, scratch: Path) -> dict:
     calls["dbscan"] = (lambda: dbscan(density, DBSCAN_EPS, DBSCAN_MIN_PTS), None)
     s = series(numeric_values(t.column(SERIES_COLUMN)))
     calls["decompose"] = (lambda: decompose_additive(s, DECOMPOSE_PERIOD), None)
+    payload = {"op": "decompose", **decompose_additive(s, DECOMPOSE_PERIOD).to_dict()}
     calls["moving_average"] = (lambda: moving_average(s, MA_WINDOW), None)
     source = scratch / "table.csv"
     write_csv(t, source)
@@ -101,8 +106,14 @@ def kernels(t, scratch: Path) -> dict:
     calls["write_csv"] = (lambda: write_csv(t, scratch / "written.csv"), None)
     calls["churn_pipeline"] = (lambda: churn_pipeline(t), None)
     sx, sy = (t.column(name) for name in SCATTER_PAIR)
-    calls["plot_scatter"] = (lambda: plot_scatter(sx, sy), None)
+    calls["plot_scatter"] = (lambda: plot_scatter(sx, sy).write(scratch / "scatter.svg"), None)
+    calls["print_json"] = (lambda: write_json_file(payload, scratch / "decompose.json"), None)
     return calls
+
+
+def write_json_file(payload, path: Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_json(payload, fh)
 
 
 def traced_peak(call) -> float:

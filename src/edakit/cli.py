@@ -11,7 +11,6 @@ and input give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ DEFAULT_SEED = 1729
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(stats._json_ready(payload), indent=2))
+    stats._write_json(payload, sys.stdout)
 
 
 def _load(path: str) -> table.Table:

@@ -79,9 +79,9 @@ def kmeans(
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside valid range 1..{n}")
-    distinct = {tuple(row) for row in x}
-    if k > len(distinct):
-        raise ValueError(f"k={k} exceeds distinct points ({len(distinct)})")
+    distinct = len(np.unique(x + 0.0, axis=0))  # + 0.0 folds -0.0 into 0.0
+    if k > distinct:
+        raise ValueError(f"k={k} exceeds distinct points ({distinct})")
 
     rng = SplitMix64(seed)
     centroids = _kmeanspp_init(x, k, rng)

@@ -13,7 +13,6 @@ reading that this pipeline measures but does not assert.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -366,9 +365,8 @@ def render_report(
         written.append(path)
 
     json_path = out / "report.json"
-    json_path.write_text(
-        json.dumps(stats._json_ready(r.to_json_dict()), indent=2) + "\n", encoding="utf-8"
-    )
+    with open(json_path, "w", encoding="utf-8") as fh:
+        stats._write_json(r.to_json_dict(), fh)
     written.append(json_path)
 
     if fmt is ReportFormat.MARKDOWN:

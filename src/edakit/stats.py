@@ -9,9 +9,11 @@ Pearson's second coefficient 3*(mean - median)/std.
 from __future__ import annotations
 
 import enum
+import itertools
+import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, TextIO, Union
 
 import numpy as np
 
@@ -92,6 +94,20 @@ def _json_ready(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
     return obj
+
+
+# encoder chunks joined per write: on an unbuffered stream (PYTHONUNBUFFERED)
+# each write is a system call, and joining them all would hold the whole text
+_JSON_CHUNKS = 1024
+
+
+def _write_json(payload, out: TextIO) -> None:
+    """Write ``json.dumps(_json_ready(payload), indent=2) + "\\n"`` to ``out``,
+    laid out ``_JSON_CHUNKS`` encoder chunks at a time, never whole."""
+    chunks = json.JSONEncoder(indent=2).iterencode(_json_ready(payload))
+    while batch := "".join(itertools.islice(chunks, _JSON_CHUNKS)):
+        out.write(batch)
+    out.write("\n")
 
 
 @dataclass(frozen=True)

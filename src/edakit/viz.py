@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from html import escape
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,26 +27,70 @@ _Y_AXIS = (HEIGHT - MARGIN, -(HEIGHT - 2 * MARGIN))
 
 _UNDEFINED_FILL = "#808080"
 
-# markers laid out per _Canvas.circles step, which bounds the bytes held at once
+# markers laid out per block of a _Markers part, and values per _encoded_fmt slice,
+# which bounds the bytes held at once
 _CIRCLE_ROWS = 8192
+
+
+class _Markers:
+    """Circle markers, laid out ``_CIRCLE_ROWS`` at a time each time they are iterated.
+
+    Holds, for each marker, the row of its cx and cy text in ``tx`` and
+    ``ty`` (the distinct coordinate texts as NUL-padded uint8 rows) and the
+    text after cy that every marker shares. The canvas makes every array
+    here itself and nothing else refers to them, so each iteration yields
+    the same blocks. A block is the UTF-8 bytes of its markers, as a uint8
+    array: their rows gathered into one matrix with the fixed texts, then
+    compacted with the padding dropped, so no Python object is made per
+    point.
+    """
+
+    def __init__(self, ix: np.ndarray, iy: np.ndarray, tx: np.ndarray, ty: np.ndarray, tail: str) -> None:
+        self.ix, self.iy, self.tx, self.ty = ix, iy, tx, ty
+        # the padding NULs are dropped from each block, so no fixed text may hold one
+        self.fixed = [np.frombuffer(s.encode("utf-8"), np.uint8) for s in ('<circle cx="', '" cy="', tail)]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return map(self._block, range(0, len(self.ix), _CIRCLE_ROWS))
+
+    def _block(self, start: int) -> np.ndarray:
+        bx = self.tx[self.ix[start:start + _CIRCLE_ROWS]]
+        by = self.ty[self.iy[start:start + _CIRCLE_ROWS]]
+        head, mid, tail = (np.broadcast_to(f, (len(bx), len(f))) for f in self.fixed)
+        rows = np.concatenate([head, bx, mid, by, tail], axis=1)
+        return rows[rows != 0]
 
 
 @dataclass(frozen=True)
 class SvgDoc:
-    """A complete SVG 1.1 document, kept as the text parts its canvas appended."""
+    """A complete SVG 1.1 document, kept as the parts its canvas appended.
 
-    parts: tuple[str, ...]
+    A part is text, or a ``_Markers`` part that lays out its circles a block
+    at a time when it is iterated. ``write`` and ``body`` are the only
+    readers that expand the parts, so the marker text is never held whole
+    unless ``body`` is asked for.
+    """
+
+    parts: tuple[Union[str, _Markers], ...]
+
+    def _chunks(self) -> Iterator[Union[bytes, np.ndarray]]:
+        """The document's UTF-8 bytes, one text part or marker block at a time."""
+        for part in self.parts:
+            if isinstance(part, str):
+                yield part.encode("utf-8")
+            else:
+                yield from part
 
     @property
     def body(self) -> str:
-        """The document text, joined from ``parts`` on each access."""
-        return "".join(self.parts)
+        """The document text, expanded from ``parts`` on each access."""
+        return b"".join(self._chunks()).decode("utf-8")
 
     def write(self, path: Union[str, Path]) -> None:
-        """Write the parts in order as UTF-8, encoding one part at a time."""
+        """Write the document as UTF-8, one text part or marker block at a time."""
         with open(path, "wb") as fh:
-            for part in self.parts:
-                fh.write(part.encode("utf-8"))
+            for chunk in self._chunks():
+                fh.write(chunk)
 
 
 def _fmt(x: float) -> str:
@@ -72,7 +116,7 @@ class _Canvas:
     """Accumulates SVG elements; geometry helpers map data to pixels."""
 
     def __init__(self, title: str) -> None:
-        self.parts: list[str] = [
+        self.parts: list[Union[str, _Markers]] = [
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n',
@@ -95,31 +139,39 @@ class _Canvas:
         )
 
     def circles(
-        self, cxs: Sequence[float], cys: Sequence[float], r: float, fill: str, cls: Optional[str] = None
+        self,
+        xs: Sequence[float],
+        ys: Sequence[float],
+        sx: Callable,
+        sy: Callable,
+        r: float,
+        fill: str,
+        cls: Optional[str] = None,
     ) -> None:
-        """One circle per (cx, cy) pair, with the bytes of one ``_fmt`` per coordinate.
+        """One circle at (sx(x), sy(y)) per data pair, with the bytes of one ``_fmt`` per coordinate.
 
-        ``_fmt`` runs once per distinct value of each coordinate array, never
-        per point, and the shared attributes are formatted once. Each block of
-        ``_CIRCLE_ROWS`` markers is laid out as the rows of a uint8 matrix
-        (the distinct texts gathered into place, NUL-padded) and appended as
-        one string, so no Python object is made per point.
+        The scales and ``_fmt`` run once per distinct data value of each
+        array, never per point. Each scale maps the distinct values as one
+        array, element by element in scalar arithmetic order, and equal
+        inputs to equal pixels: a ``_scale`` adds a nonzero origin, so 0.0
+        and -0.0 land on one pixel. So each marker's bytes are those of its
+        own value. A zero-span scale returns one scalar, broadcast to every
+        value. The markers are laid out only when the document is expanded
+        (see ``_Markers``).
         """
-        cxs, cys = np.asarray(cxs, dtype=float), np.asarray(cys, dtype=float)
-        if len(cxs) == 0:
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        if len(xs) == 0:
             return
         c = f' class="{cls}"' if cls else ""
-        # the padding NULs are dropped from each block, so no fixed text may hold one
-        fixed = [np.frombuffer(s.encode("utf-8"), np.uint8)
-                 for s in ('<circle cx="', '" cy="', f'" r="{_fmt(r)}" fill="{fill}"{c}/>\n')]
-        ux, ix = np.unique(cxs, return_inverse=True)  # equal values format equally, 0.0 and -0.0 too
-        uy, iy = np.unique(cys, return_inverse=True)
-        tx, ty = _encoded_fmt(ux), _encoded_fmt(uy)
-        for start in range(0, len(cxs), _CIRCLE_ROWS):
-            bx, by = tx[ix[start:start + _CIRCLE_ROWS]], ty[iy[start:start + _CIRCLE_ROWS]]
-            head, mid, tail = (np.broadcast_to(f, (len(bx), len(f))) for f in fixed)
-            rows = np.concatenate([head, bx, mid, by, tail], axis=1)
-            self.parts.append(rows[rows != 0].tobytes().decode("utf-8"))
+        ux, ix = np.unique(xs, return_inverse=True)
+        uy, iy = np.unique(ys, return_inverse=True)
+        tx = _encoded_fmt(np.broadcast_to(sx(ux), ux.shape))
+        ty = _encoded_fmt(np.broadcast_to(sy(uy), uy.shape))
+        # the indices are all a document keeps per marker, so in the smallest type that holds them
+        self.parts.append(_Markers(
+            ix.astype(np.min_scalar_type(len(ux) - 1)), iy.astype(np.min_scalar_type(len(uy) - 1)),
+            tx, ty, f'" r="{_fmt(r)}" fill="{fill}"{c}/>\n',
+        ))
 
     def text(self, x: float, y: float, s: str, anchor: str = "start", size: int = 11) -> None:
         self.parts.append(
@@ -202,7 +254,8 @@ def plot_box(
     cv.line(cx - box_w / 4, sy(w_hi), cx + box_w / 4, sy(w_hi))
     cv.rect(cx - box_w / 2, sy(stats.q3), box_w, sy(stats.q1) - sy(stats.q3), "#a8c4e0", cls="box")
     cv.line(cx - box_w / 2, sy(stats.median), cx + box_w / 2, sy(stats.median), width=2.0)
-    cv.circles([cx] * len(points_beyond), [sy(v) for v in points_beyond], 3, "#c03028", cls="outlier")
+    # a zero-span x scale puts every marker at the centre, cx
+    cv.circles(points_beyond, points_beyond, _scale(0.0, 0.0, *_X_AXIS), sy, 3, "#c03028", cls="outlier")
     for v in (vlo, stats.median, vhi):
         cv.text(MARGIN - 6, sy(v) + 4, _tick(v), anchor="end")
     cv.line(MARGIN, MARGIN, MARGIN, HEIGHT - MARGIN)
@@ -235,8 +288,9 @@ def plot_bar(f: FrequencyTable, title: str = "") -> SvgDoc:
 def plot_scatter(x: Column, y: Column, title: str = "") -> SvgDoc:
     """One marker per jointly present pair; axes autoscale with 5% padding.
 
-    The pixel coordinates stay NumPy arrays, so the markers cost one ``_fmt``
-    per distinct coordinate (see ``_Canvas.circles``), not two per point.
+    The markers cost one scale and one ``_fmt`` per distinct coordinate (see
+    ``_Canvas.circles``), not two per point, and are laid out as the
+    document is written.
     """
     xs, ys = _joint_present(x, y)
     if len(xs) == 0:
@@ -254,8 +308,7 @@ def plot_scatter(x: Column, y: Column, title: str = "") -> SvgDoc:
     ylo, yhi = padded(ys)
     sx = _scale(xlo, xhi, *_X_AXIS)
     sy = _scale(ylo, yhi, *_Y_AXIS)
-    # the scales map whole arrays element by element, in scalar arithmetic order
-    cv.circles(np.broadcast_to(sx(xs), xs.shape), np.broadcast_to(sy(ys), ys.shape), 2, "#4878a8", cls="pt")
+    cv.circles(xs, ys, sx, sy, 2, "#4878a8", cls="pt")
     cv.text(WIDTH / 2, HEIGHT - MARGIN / 4, x.name, anchor="middle")
     cv.text(MARGIN / 4, HEIGHT / 2, y.name, anchor="middle")
     for v in (xlo, xhi):

@@ -241,3 +241,65 @@ class TestOracleAgreement:
         assert math.isclose(
             percentile(col(xs), p), o_quantile(xs, p), rel_tol=1e-9, abs_tol=1e-12
         )
+
+
+class _Sink:
+    """A text stream that keeps only the count of characters and writes."""
+
+    def __init__(self):
+        self.chars = self.writes = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        self.writes += 1
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("payload", [
+        {"nan": math.nan, "inf": [math.inf, -math.inf, 1.5], "tuple": (math.nan, 2)},
+        {"list": [], "dict": {}, "nested": [[], {}, [[]]], "none": None},
+        [], {}, math.nan, 1.5, "x", None,
+        {"Überblick – ü": ["München", "€", "☃"], "kéy": {"é": True}},
+        {"values": [i / 7 for i in range(30_000)], "rows": [{"n": i, "m": [i, -i]} for i in range(3_000)]},
+    ])
+    def test_bytes_equal_dumps(self, payload):
+        import io
+        import json
+
+        from edakit.stats import _json_ready, _write_json
+
+        out = io.StringIO()
+        _write_json(payload, out)
+        assert out.getvalue() == json.dumps(_json_ready(payload), indent=2) + "\n"
+
+    def test_written_in_batches(self, monkeypatch):
+        import json
+
+        from edakit import stats
+
+        payload = {"values": [0.5] * 1_000}
+        chunks = len(list(json.JSONEncoder(indent=2).iterencode(payload)))
+        monkeypatch.setattr(stats, "_JSON_CHUNKS", 100)
+        sink = _Sink()
+        stats._write_json(payload, sink)
+        # one write per batch of chunks, then the newline
+        assert chunks > 1_000
+        assert sink.writes == math.ceil(chunks / 100) + 1
+
+    def test_print_peaks_below_half_the_text(self):
+        import contextlib
+        import tracemalloc
+
+        from edakit.cli import _print_json
+
+        payload = {"values": [i / 7 for i in range(100_000)]}
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                _print_json(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 2_000_000
+        assert peak < sink.chars / 2

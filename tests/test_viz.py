@@ -227,6 +227,33 @@ class TestDocumentProperties:
             assert path.read_bytes() == doc.body.encode("utf-8")
             assert path.read_bytes().startswith(b"<?xml")
 
+    def test_scatter_document_holds_no_marker_text(self, tmp_path):
+        import tracemalloc
+
+        import numpy as np
+
+        from edakit.table import Column, Kind
+
+        # the churn report's scatter: 100k integer credit scores against ages
+        rng = np.random.default_rng(19)
+        present = np.ones(100_000, dtype=bool)
+        x = Column.from_floats("CreditScore", Kind.NUMERIC, rng.integers(350, 851, 100_000), present)
+        y = Column.from_floats("Age", Kind.NUMERIC, rng.integers(18, 93, 100_000), present)
+        tracemalloc.start()
+        try:
+            doc = plot_scatter(x, y)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        body = doc.body
+        assert len(body) > 6_000_000
+        assert retained < len(body) / 5
+        # the markers are laid out anew on each expansion, to the same bytes
+        assert doc.body == body
+        doc.write(tmp_path / "a.svg")
+        doc.write(tmp_path / "b.svg")
+        assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes() == body.encode("utf-8")
+
     def test_finish_makes_no_copy_of_the_text(self):
         import tracemalloc
 
@@ -235,7 +262,7 @@ class TestDocumentProperties:
         from edakit import viz
 
         cv = viz._Canvas("t")
-        cv.circles(np.arange(20_000) * 1.0001, np.arange(20_000)[::-1] * 0.0137, 2, "#4878a8", "pt")
+        cv.circles(np.arange(20_000) * 1.0001, np.arange(20_000)[::-1] * 0.0137, identity, identity, 2, "#4878a8", "pt")
         tracemalloc.start()
         try:
             doc = cv.finish()
@@ -343,6 +370,10 @@ class TestScatterMatchesPerPoint:
         self.check([-0.0, 0.0] * 40, [0.0, 2.0] * 40)
 
 
+def identity(v):
+    return v
+
+
 def circles_reference(cxs, cys, r, fill, cls):
     """The marker lines of ``_Canvas.circles``, written one point at a time."""
     from edakit import viz
@@ -355,16 +386,26 @@ def circles_reference(cxs, cys, r, fill, cls):
 
 class TestCirclesMatchPerPoint:
     @staticmethod
-    def check(cxs, cys, r=2, fill="#4878a8", cls="pt"):
+    def check(cxs, cys, r=2, fill="#4878a8", cls="pt", sx=identity, sy=identity):
         import numpy as np
 
         from edakit import viz
 
+        expected = circles_reference([sx(a) for a in cxs], [sy(b) for b in cys], r, fill, cls)
         for make in (list, np.array):
             cv = viz._Canvas("")
             start = len(cv.parts)
-            cv.circles(make(cxs), make(cys), r, fill, cls)
-            assert "".join(cv.parts[start:]) == circles_reference(cxs, cys, r, fill, cls)
+            cv.circles(make(cxs), make(cys), sx, sy, r, fill, cls)
+            assert viz.SvgDoc(tuple(cv.parts[start:])).body == expected
+
+    def test_scales_of_distinct_values(self):
+        from edakit import viz
+
+        zeros = [0.0, -0.0, 5e-324, -5e-324, 1.0, -0.0]
+        self.check(zeros, zeros[::-1], sx=viz._scale(-0.0, 1.0, *viz._X_AXIS), sy=viz._scale(0.0, 1.0, *viz._Y_AXIS))
+        # a zero span centres every marker, from one scalar
+        self.check([3.0, -1.0, 3.0], [2.0, 2.0, 7.0], sx=viz._scale(2.0, 2.0, *viz._X_AXIS),
+                   sy=viz._scale(1e300, 1e300, *viz._Y_AXIS))
 
     def test_signed_zeros(self):
         zeros = [0.0, -0.0, -0.0, 0.0, 1e-5, -1e-5, -4e-5, -5e-5, 5e-5, -6e-5]
