@@ -401,7 +401,7 @@ BinSpec = Union[EqualWidth, Quantile, Edges]
 def _bin_labels(edges: np.ndarray) -> list[str]:
     """"[lo,hi)" per bin, the last closed. Edges are written as write_csv
     writes numbers, so distinct edges give distinct labels."""
-    texts = _number_texts(edges, np.ones(len(edges), bool), "")
+    texts = _number_texts(edges, "")
     closes = [")"] * (len(texts) - 2) + ["]"]
     return [f"[{lo},{hi}{close}" for lo, hi, close in zip(texts, texts[1:], closes)]
 

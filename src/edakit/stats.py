@@ -63,8 +63,8 @@ class SummaryStats:
     kurtosis_class: Optional[KurtosisClass]
 
     def to_dict(self) -> dict:
-        """JSON-ready dict; field names are a stable CLI contract."""
-        return _json_ready({
+        """Field names are a stable CLI contract; ``_write_json`` writes NaN as null."""
+        return {
             "count": self.count,
             "n_missing": self.n_missing,
             "mean": self.mean,
@@ -82,7 +82,7 @@ class SummaryStats:
             "skew_moment": self.skew_moment,
             "kurtosis_excess": self.kurtosis_excess,
             "kurtosis_class": self.kurtosis_class.value if self.kurtosis_class else None,
-        })
+        }
 
 
 def _json_ready(obj):

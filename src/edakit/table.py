@@ -1,12 +1,12 @@
 """Typed columnar tables: CSV ingestion, schema inference, column operations.
 
 A Table is an immutable ordered collection of typed columns of equal length.
-Each column is stored as arrays in the Arrow columnar layout: a numeric or
-boolean column holds a float64 array (NaN at missing cells, 0.0/1.0 for
-boolean) and a bool present mask; a categorical column holds int64 codes
-(-1 where missing) into the tuple of its distinct labels, in ascending
-``str`` order, each of which occurs. The stored arrays are read-only, so
-``numeric_with_mask`` and ``label_codes`` hand them out without copying.
+Each column stores one read-only array, with one marker for a missing cell: a
+numeric or boolean column holds float64 values (0.0/1.0 for boolean), NaN
+where missing; a categorical column holds int64 codes, -1 where missing, into
+its distinct labels, in ascending ``str`` order, each of which occurs. The
+constructors refuse NaN at a present cell, so the missing flags are derived
+from the array; ``numeric_with_mask`` and ``label_codes`` do not copy it.
 ``Column.values`` derives plain Python cells (floats, strings, 0/1 ints,
 ``None`` where missing) on each read; no operation in the package uses it.
 
@@ -103,8 +103,7 @@ class Column:
 
     name: str
     kind: Kind
-    _data: np.ndarray  # float64 values, or int64 codes for a categorical column
-    _present: np.ndarray
+    _data: np.ndarray  # float64 values, NaN where missing; or int64 codes, -1 where missing
     _labels: tuple  # a categorical column's labels, else ()
 
     def __init__(self, name: str, kind: Kind, values: Sequence) -> None:
@@ -128,23 +127,27 @@ class Column:
             else:  # any int but 0 and 1 maps to 2.0, which the check rejects
                 data = np.fromiter(map({0: 0.0, 1: 1.0, None: math.nan}.get, cells, repeat(2.0)), float, n)
             built = Column.from_floats(name, kind, data, present)
-        self._set(name, kind, built._data, built._present, built._labels)
+        self._set(name, kind, built._data, built._labels)
 
-    def _set(self, name: str, kind: Kind, data: np.ndarray, present: np.ndarray, labels: tuple) -> None:
+    def _set(self, name: str, kind: Kind, data: np.ndarray, labels: tuple) -> None:
         _check_name(name)
         data.flags.writeable = False
-        present.flags.writeable = False
-        for slot, value in (("name", name), ("kind", kind), ("_data", data),
-                            ("_present", present), ("_labels", labels)):
+        for slot, value in (("name", name), ("kind", kind), ("_data", data), ("_labels", labels)):
             object.__setattr__(self, slot, value)
+
+    def _present_mask(self) -> np.ndarray:
+        """Read-only present flags, derived from the stored missing marker."""
+        present = self._data >= 0 if self.kind is Kind.CATEGORICAL else ~np.isnan(self._data)
+        present.flags.writeable = False
+        return present
 
     @classmethod
     def from_floats(cls, name: str, kind: Kind, values, present) -> "Column":
         """Numeric or boolean column from float values and a present mask.
 
-        Cells where ``present`` is False are missing, whatever ``values`` holds
-        there. Present cells must be finite (numeric) or exactly 0.0 or 1.0
-        (boolean). Both inputs are copied.
+        Cells where ``present`` is False are missing and stored as NaN. Present
+        cells must be finite (numeric) or exactly 0.0 or 1.0 (boolean): a NaN
+        at a present cell is refused, not taken as missing. Values are copied.
         """
         if kind is Kind.CATEGORICAL:
             raise ValueError(f"column {name!r}: categorical columns are built from codes")
@@ -159,7 +162,7 @@ class Column:
         if bad.any():
             raise ValueError(f"column {name!r} row {np.flatnonzero(bad)[0]}: {_CELL_RULE[kind]}")
         col = cls.__new__(cls)
-        col._set(name, kind, data, present, ())
+        col._set(name, kind, data, ())
         return col
 
     @classmethod
@@ -176,8 +179,7 @@ class Column:
             raise ValueError(f"column {name!r}: labels must be text")
         if codes.size and (codes.min() < -1 or codes.max() >= len(labels)):
             raise ValueError(f"column {name!r}: codes must lie in [-1, {len(labels)})")
-        present = codes >= 0
-        used = np.bincount(codes[present], minlength=len(labels)) > 0
+        used = np.bincount(codes[codes >= 0], minlength=len(labels)) > 0
         kept = sorted({labels[i] for i in np.flatnonzero(used).tolist()})
         if list(labels) != kept:
             position = {label: k for k, label in enumerate(kept)}
@@ -186,18 +188,17 @@ class Column:
         if kept and kept[0] == "":
             raise ValueError(f"column {name!r} row {np.flatnonzero(codes == 0)[0]}: {_CELL_RULE[Kind.CATEGORICAL]}")
         col = cls.__new__(cls)
-        col._set(name, Kind.CATEGORICAL, codes, present, tuple(kept))
+        col._set(name, Kind.CATEGORICAL, codes, tuple(kept))
         return col
 
     def __len__(self) -> int:
-        return len(self._present)
+        return len(self._data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Column):
             return NotImplemented
         return (
             (self.name, self.kind, self._labels) == (other.name, other.kind, other._labels)
-            and np.array_equal(self._present, other._present)
             and np.array_equal(self._data, other._data, equal_nan=True)
         )
 
@@ -208,7 +209,7 @@ class Column:
         # copies and unpickling rebuild through the checked constructors, whose arrays are read-only
         if self.kind is Kind.CATEGORICAL:
             return Column.from_codes, (self.name, self._data, self._labels)
-        return Column.from_floats, (self.name, self.kind, self._data, self._present)
+        return Column.from_floats, (self.name, self.kind, self._data, self._present_mask())
 
     def __repr__(self) -> str:
         return f"Column({self.name!r}, {self.kind}, {self.values!r})"
@@ -221,7 +222,7 @@ class Column:
         """
         if self.kind is Kind.NUMERIC:
             cells = self._data.tolist()
-            for i in np.flatnonzero(~self._present).tolist():
+            for i in np.flatnonzero(~self._present_mask()).tolist():
                 cells[i] = None
             return tuple(cells)
         codes, labels = label_codes(self)
@@ -231,11 +232,11 @@ class Column:
     @property
     def missing(self) -> tuple[bool, ...]:
         """Per-row missing flags."""
-        return tuple((~self._present).tolist())
+        return tuple((~self._present_mask()).tolist())
 
     @property
     def null_count(self) -> int:
-        return len(self) - int(np.count_nonzero(self._present))
+        return len(self) - int(np.count_nonzero(self._present_mask()))
 
 
 def numeric_column(name: str, cells: Sequence[Optional[float]]) -> Column:
@@ -258,10 +259,10 @@ def numeric_values(c: Column) -> np.ndarray:
 
 
 def numeric_with_mask(c: Column) -> tuple[np.ndarray, np.ndarray]:
-    """The stored float array (NaN at missing cells) and present mask, read-only."""
+    """The stored float array (NaN at missing cells) and a present mask derived from it, read-only."""
     if c.kind is Kind.CATEGORICAL:
         raise ValueError(f"column {c.name!r} is categorical, not numeric")
-    return c._data, c._present
+    return c._data, c._present_mask()
 
 
 def label_codes(c: Column) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -271,7 +272,7 @@ def label_codes(c: Column) -> tuple[np.ndarray, tuple[str, ...]]:
     if c.kind is Kind.CATEGORICAL:
         return c._data, c._labels
     if c.kind is Kind.BOOLEAN:
-        return np.where(c._present, c._data, -1).astype(np.int64), ("0", "1")
+        return np.where(c._present_mask(), c._data, -1).astype(np.int64), ("0", "1")
     raise ValueError(f"column {c.name!r} is numeric, not categorical or boolean")
 
 
@@ -378,7 +379,7 @@ class _ColumnTyper:
     rules of :func:`infer_schema`.
 
     While every block's present cells are finite reals, the typer keeps each
-    block's floats and present mask, and the union of its labels while they
+    block's floats, NaN where missing, and the union of its labels while they
     lie within {"0", "1"} (the boolean rule is on the text, so "1.0" keeps a
     column numeric). From its first failing block the column is categorical,
     coded through one label -> code dict that grows across blocks. Blocks with
@@ -391,7 +392,7 @@ class _ColumnTyper:
         self.name = name
         self.named_boolean = name in opts.boolean_columns
         self.missing_set = missing_set
-        self.values, self.present = [np.empty(0)], [np.empty(0, bool)]  # per block, while numeric
+        self.values = [np.empty(0)]  # per block, while numeric
         self.bits: Optional[set] = set()  # None once a present label lies outside {"0", "1"}
         self.index: Optional[dict] = None  # label -> code, once categorical
         self.codes: list[np.ndarray] = []
@@ -409,26 +410,25 @@ class _ColumnTyper:
             present = ~np.fromiter(map(missing.__contains__, stripped), bool, n) if missing else np.ones(n, bool)
             if (values := _finite_reals(stripped, labels, present)) is not None:
                 self.values.append(values)
-                self.present.append(present)
                 if self.bits is not None:
                     self.bits = self.bits | labels if labels <= {"0", "1"} else None
                 return
-            if any(map(np.any, self.present)):
-                self.stale, self.values, self.present = True, [], []
+            if not all(np.isnan(v).all() for v in self.values):
+                self.stale, self.values = True, []
                 return
-            self.index, self.codes = {}, [np.full(sum(map(len, self.present)), -1, np.int64)]
+            self.index, self.codes = {}, [np.full(sum(map(len, self.values)), -1, np.int64)]
         for label in labels.difference(self.index):
             self.index[label] = len(self.index)
         self.codes.append(np.fromiter(map(self.index.get, stripped, repeat(-1)), np.int64, n))
 
     def column(self) -> Column:
         if self.index is None:
-            present = np.concatenate(self.present)
-            if not present.any():
-                return Column.from_codes(self.name, np.full(len(present), -1), [])
+            values = np.concatenate(self.values)
+            if np.isnan(values).all():
+                return Column.from_codes(self.name, np.full(len(values), -1), [])
             boolean = self.bits is not None and (self.named_boolean or len(self.bits) == 2)
             kind = Kind.BOOLEAN if boolean else Kind.NUMERIC
-            return Column.from_floats(self.name, kind, np.concatenate(self.values), present)
+            return Column.from_floats(self.name, kind, values, ~np.isnan(values))
         return Column.from_codes(self.name, np.concatenate(self.codes), list(self.index))
 
 
@@ -529,12 +529,12 @@ def read_csv(path: Union[str, Path], options: Optional[CsvOptions] = None) -> Ta
 _WRITE_ROWS = 8192
 
 
-def _number_texts(vals: np.ndarray, present: np.ndarray, missing_token: str) -> list[str]:
-    """The text of each float: ``missing_token`` where not present, integral
-    values below 1e16 without the ".0", the others by ``repr``. Both forms
-    parse back to the value, so distinct values get distinct texts."""
-    whole = present & (vals == np.trunc(vals)) & (np.abs(vals) < 1e16)
-    other = present & ~whole
+def _number_texts(vals: np.ndarray, missing_token: str) -> list[str]:
+    """The text of each float: ``missing_token`` where NaN, integral values
+    below 1e16 without the ".0", the others by ``repr``. Both forms parse
+    back to the value, so distinct values get distinct texts."""
+    whole = (vals == np.trunc(vals)) & (np.abs(vals) < 1e16)  # False at NaN
+    other = ~whole & ~np.isnan(vals)
     texts = np.full(len(vals), missing_token, dtype=object)
     texts[whole] = list(map(str, vals[whole].astype(np.int64).tolist()))
     texts[other] = list(map(repr, vals[other].tolist()))
@@ -545,7 +545,7 @@ def _text_cells(c: Column, rows: slice, missing_token: str) -> list[str]:
     """The CSV text of the cells of a column in ``rows``."""
     if c.kind is Kind.CATEGORICAL:
         return np.array(c._labels + (missing_token,), dtype=object)[c._data[rows]].tolist()
-    return _number_texts(c._data[rows], c._present[rows], missing_token)
+    return _number_texts(c._data[rows], missing_token)
 
 
 def write_csv_to(t: Table, fh, options: Optional[CsvOptions] = None) -> None:
@@ -553,15 +553,19 @@ def write_csv_to(t: Table, fh, options: Optional[CsvOptions] = None) -> None:
 
     Missing cells are written as the first configured missing token.
     Lines end with "\\n" for stable bytes across platforms. Raises, before
-    writing anything, on a categorical value that reads back as missing.
+    writing anything, on a categorical value that would read back as missing
+    or, having surrounding whitespace, trimmed.
     """
     opts = options or CsvOptions()
     missing_set = opts._missing_set()
     for c in t.columns:
         if c.kind is Kind.CATEGORICAL:
-            bad = [v for v in label_codes(c)[1] if v.strip().casefold() in missing_set]
+            bad = [v for v in c._labels if v.strip().casefold() in missing_set]
             if bad:
                 raise ValueError(f"column {c.name!r}: values {bad} would read back as missing")
+            padded = [v for v in c._labels if v != v.strip()]
+            if padded:
+                raise ValueError(f"column {c.name!r}: values {padded} would read back trimmed")
     missing_token = opts.missing_tokens[0] if opts.missing_tokens else ""
     writer = csv.writer(fh, delimiter=opts.delimiter, lineterminator="\n")
     writer.writerow([c.name for c in t.columns])
@@ -578,11 +582,11 @@ def write_csv(t: Table, path: Union[str, Path], options: Optional[CsvOptions] = 
     ``read_csv`` gives back the same columns only where inference types each
     column's written text as it was typed and reading leaves its labels
     alone. It does not for a categorical column whose labels all read as
-    numbers or as 0/1 (``["1", "2"]`` reads back numeric), labels with
-    surrounding whitespace, which read back trimmed (``" x"`` reads back
-    ``"x"``), a boolean column holding only one of 0 and 1 and not named in
-    ``boolean_columns`` (numeric), a numeric column holding exactly 0 and 1
-    (boolean), or an all-missing column (categorical).
+    numbers or as 0/1 (``["1", "2"]`` reads back numeric), a boolean column
+    holding only one of 0 and 1 and not named in ``boolean_columns``
+    (numeric), a numeric column holding exactly 0 and 1 (boolean), or an
+    all-missing column (categorical). Labels that would read back as missing
+    or trimmed are refused (see :func:`write_csv_to`).
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         write_csv_to(t, fh, options)
@@ -621,7 +625,7 @@ def select_columns(t: Table, names: Sequence[str]) -> Table:
 def _take(c: Column, rows: np.ndarray) -> Column:
     if c.kind is Kind.CATEGORICAL:
         return Column.from_codes(c.name, c._data[rows], c._labels)
-    return Column.from_floats(c.name, c.kind, c._data[rows], c._present[rows])
+    return Column.from_floats(c.name, c.kind, c._data[rows], c._present_mask()[rows])
 
 
 def filter_rows(t: Table, keep: Sequence[bool]) -> Table:

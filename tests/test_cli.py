@@ -92,6 +92,13 @@ class TestClean:
         assert t.row_count == 200
         assert not t.has_column("Surname")
 
+    def test_padded_constant_exit_2(self, capsys, tmp_path):
+        blanks = ROOT / "data" / "churn_fixture_blanks.csv"
+        argv = ("clean", str(blanks), "--impute", "Geography=constant: x", "--out", str(tmp_path / "o.csv"))
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "column 'Geography': values [' x'] would read back trimmed" in err
+
     def test_unknown_strategy(self, capsys, fixture_csv):
         code, _, err = run(capsys, "clean", str(fixture_csv), "--impute", "Age=bogus")
         assert code == 2

@@ -215,7 +215,7 @@ def test_read_holds_a_block_of_text_not_the_file(tmp_path):
     write(tmp_path / "big.csv", 50_000)
     block_peak, _ = read_peak(tmp_path / "block.csv")
     peak, t = read_peak(tmp_path / "big.csv")
-    typed = sum(c._data.nbytes + c._present.nbytes for c in t.columns)
+    typed = sum(c._data.nbytes for c in t.columns)
     # the cell strings take about ten times the typed arrays' bytes, so a
     # reader holding the whole file's text would need some 10 * typed
     assert peak < 2 * typed + block_peak, (peak, typed, block_peak)
@@ -261,6 +261,11 @@ def test_array_constructors_check_their_input():
         Column.from_floats("x", Kind.NUMERIC, [1.0, float("inf"), float("nan")], [True, True, False])
     with pytest.raises(ValueError, match="row 2: boolean cell must be int 0 or 1"):
         Column.from_floats("b", Kind.BOOLEAN, [1.0, 7.0, 0.5], [True, False, True])
+    # NaN at a present cell is refused, never taken as missing: MinMax across ±1e308 gives inf / inf
+    with pytest.raises(ValueError, match="row 0: boolean cell must be int 0 or 1"):
+        Column.from_floats("b", Kind.BOOLEAN, [np.nan, 1.0], [True, True])
+    with pytest.raises(ValueError, match="row 0: numeric cell must be a finite float"):
+        transform(numeric_column("x", [1e308, -1e308, None]), MinMax())
     with pytest.raises(ValueError, match="codes must lie in"):
         Column.from_codes("g", [0, -2], ["a"])
     with pytest.raises(ValueError, match="row 1: categorical cell must be non-empty text"):
@@ -337,6 +342,20 @@ def test_numbers_written_as_the_per_cell_formatter():
     written = [row[0] for row in csv.reader(io.StringIO(out.getvalue()))][1:]
     want = [o_format_numeric(v) if p else "" for v, p in zip(values.tolist(), present.tolist())]
     assert written == want
+
+
+def test_column_stores_one_array():
+    # NaN or code -1 marks a missing cell: 8 bytes a row, no mask beside them
+    n = 1000
+    cells = [None if i % 7 == 0 else i % 2 for i in range(n)]
+    for c in (
+        numeric_column("y", [None if v is None else v + 0.5 for v in cells]),
+        boolean_column("f", cells),
+        categorical_column("g", [None if v is None else "ab"[v] for v in cells]),
+    ):
+        stored = [v for v in vars(c).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in stored) == 8 * n, c.kind
+        assert c.null_count == cells.count(None)
 
 
 def test_numeric_with_mask_does_not_copy():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -402,6 +403,14 @@ class TestRoundTrip:
         t = Table("t", (categorical_column("g", [label, "x", label]),), 3)
         out = tmp_path / "out.csv"
         with pytest.raises(ValueError, match=r"'g'.*'%s'" % label):
+            write_csv(t, out)
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize("label", [" x", "x ", "\tx\n"])
+    def test_write_rejects_label_that_reads_back_trimmed(self, tmp_path, label):
+        t = Table("t", (categorical_column("g", [label, "y", None]),), 3)
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=re.escape(f"column 'g': values [{label!r}] would read back trimmed")):
             write_csv(t, out)
         assert out.read_text() == ""
 
