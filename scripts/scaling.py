@@ -7,8 +7,11 @@ agglomerative clustering of the CreditScore,Age matrix under each linkage,
 k-means and the Gaussian mixture fit of that matrix (k 3, seed 1729, the
 CLI's default seed), DBSCAN of the Balance,Age matrix (eps 500, min_pts 10,
 as in the benchmark), the additive decomposition (period 12) and the
-moving average (window 7) of the Balance series, ``read_csv`` and
-``write_csv`` of the whole table, ``churn_pipeline`` on it, ``plot_scatter``
+moving average (window 7) of the Balance series, ``read_csv`` of the whole
+table, of the Balance column alone (as ``eda timeseries --column`` reads it)
+and of the 11 columns ``eda churn-report`` reads (all but
+``report.DROPPABLE``), ``write_csv`` of the whole table, ``churn_pipeline``
+on it, ``plot_scatter``
 of CreditScore against Age (the churn report's scatter) written to an SVG
 file, since its markers are laid out as the file is written, and the JSON
 text of the decomposition (``eda timeseries --op decompose``'s payload, built
@@ -53,7 +56,7 @@ sys.path.insert(0, str(ROOT / "scripts"))
 import make_fixture  # noqa: E402
 from edakit.assoc import kendall_tau  # noqa: E402
 from edakit.cluster import Linkage, agglomerative, dbscan, gmm, kmeans  # noqa: E402
-from edakit.report import churn_pipeline  # noqa: E402
+from edakit.report import DROPPABLE, churn_pipeline  # noqa: E402
 from edakit.stats import _write_json  # noqa: E402
 from edakit.table import numeric_values, read_csv, write_csv  # noqa: E402
 from edakit.timeseries import decompose_additive, moving_average, series  # noqa: E402
@@ -103,6 +106,8 @@ def kernels(t, scratch: Path) -> dict:
     source = scratch / "table.csv"
     write_csv(t, source)
     calls["read_csv"] = (lambda: read_csv(source), None)
+    calls["read_csv_1col"] = (lambda: read_csv(source, keep=lambda name: name == SERIES_COLUMN), None)
+    calls["read_csv_11col"] = (lambda: read_csv(source, keep=lambda name: name not in DROPPABLE), None)
     calls["write_csv"] = (lambda: write_csv(t, scratch / "written.csv"), None)
     calls["churn_pipeline"] = (lambda: churn_pipeline(t), None)
     sx, sy = (t.column(name) for name in SCATTER_PAIR)

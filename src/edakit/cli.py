@@ -27,8 +27,22 @@ def _print_json(payload) -> None:
     stats._write_json(payload, sys.stdout)
 
 
-def _load(path: str) -> table.Table:
-    return table.read_csv(path)
+def _load(path: str, names: Optional[Sequence[Optional[str]]] = None) -> table.Table:
+    """Read a CSV, typing only the header columns that match one of ``names``
+    under case folding, when names are given, else every column.
+
+    Unknown names are left for ``Table.column`` and ``select_columns`` to
+    refuse, and every case variant of a name is kept for their hint.
+    """
+    if names is None:
+        return table.read_csv(path)
+    wanted = {n.casefold() for n in names if n is not None}
+    return table.read_csv(path, keep=lambda name: name.casefold() in wanted)
+
+
+def _split(columns: Optional[str]) -> Optional[list[str]]:
+    """A comma-separated ``--columns`` value as names, or None when empty."""
+    return columns.split(",") if columns else None
 
 
 def _numeric_matrix(t: table.Table, columns: Optional[Sequence[str]]) -> tuple[np.ndarray, list[str]]:
@@ -52,7 +66,8 @@ def _numeric_matrix(t: table.Table, columns: Optional[Sequence[str]]) -> tuple[n
 
 
 def cmd_describe(args) -> int:
-    t = _load(args.csv)
+    named = args.outliers or args.column
+    t = _load(args.csv, [named] if named else None)
     if args.outliers:
         method = (
             cleanse.Iqr(args.k) if args.method == "iqr" else cleanse.ZScore(args.threshold)
@@ -117,9 +132,10 @@ def cmd_clean(args) -> int:
 
 
 def cmd_corr(args) -> int:
-    t = _load(args.csv)
-    if args.columns:
-        t = table.select_columns(t, args.columns.split(","))
+    columns = _split(args.columns)
+    t = _load(args.csv, columns)
+    if columns:
+        t = table.select_columns(t, columns)
     matrix = assoc.correlation_matrix(t, assoc.CorrMethod(args.method))
     if args.heatmap:
         viz.plot_heatmap(matrix, f"{args.method} correlation").write(args.heatmap)
@@ -129,8 +145,8 @@ def cmd_corr(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    t = _load(args.csv)
-    data, names = _numeric_matrix(t, args.columns.split(",") if args.columns else None)
+    columns = _split(args.columns)
+    data, names = _numeric_matrix(_load(args.csv, columns), columns)
     if args.algo == "kmeans":
         if args.k is None:
             raise ValueError("kmeans needs --k")
@@ -159,15 +175,15 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_pca(args) -> int:
-    t = _load(args.csv)
-    data, names = _numeric_matrix(t, args.columns.split(",") if args.columns else None)
+    columns = _split(args.columns)
+    data, names = _numeric_matrix(_load(args.csv, columns), columns)
     model = pca.fit_pca(data, args.components, standardize=args.standardize)
     _print_json({"columns": names, **model.to_dict()})
     return 0
 
 
 def cmd_timeseries(args) -> int:
-    t = _load(args.csv)
+    t = _load(args.csv, [args.column])
     c = t.column(args.column)
     if c.kind is not table.Kind.NUMERIC:
         raise ValueError(f"column {args.column!r} is not numeric")
@@ -201,8 +217,8 @@ def cmd_timeseries(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    t = _load(args.csv)
     kind = args.kind
+    t = _load(args.csv, None if kind == "heatmap" else [args.column, args.x, args.y])
     if kind == "hist":
         c = t.column(_require(args.column, "--column"))
         bins = stats.BinCount(args.bins) if args.bins is not None else stats.AutoBins()
@@ -237,7 +253,8 @@ def _require(value, flag: str):
 
 
 def cmd_churn_report(args) -> int:
-    t = _load(args.csv)
+    # step 1 of the pipeline drops the identifier columns, so they are never typed
+    t = table.read_csv(args.csv, keep=lambda name: name not in report.DROPPABLE)
     evaluate = {"auto": None, "always": True, "never": False}[args.evaluate]
     rep = report.churn_pipeline(t, evaluate_findings=evaluate)
     fmt = report.ReportFormat(args.format)

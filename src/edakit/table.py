@@ -13,13 +13,15 @@ from the array; ``numeric_with_mask`` and ``label_codes`` do not copy it.
 ``read_csv`` and ``infer_schema`` share one column typer. ``read_csv`` takes
 blocks of 8192 rows from one ``csv.reader``, checking each row's field count
 as it goes, feeds each block's columns to the typer and drops the block's text
-before reading the next, so it holds one block of text, not the file. The
-typer strips each cell once and types a block from the set of its distinct
-cells, in whole-block passes: a column stays numeric or boolean while every
-block parses as finite reals, and is categorical from its first block that
-does not. A column that fails only after earlier blocks held numbers has lost
-their text, so ``read_csv`` re-reads the file for such columns alone and types
-each from its whole text; they are rare.
+before reading the next, so it holds one block of text, not the file. Its
+``keep`` argument names the columns to type; the others are parsed and
+checked but never typed. The typer strips each cell once and types a block
+from the set of its distinct cells, in whole-block passes: a column stays
+numeric or boolean while every block parses as finite reals, and is
+categorical from its first block that does not. A column that fails only
+after earlier blocks held numbers has lost their text, so ``read_csv``
+re-reads the file for such columns alone and types each from its whole text;
+they are rare.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import operator
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -475,13 +477,22 @@ def _checked_rows(reader, n_cols: int, path: Path):
         yield row
 
 
-def read_csv(path: Union[str, Path], options: Optional[CsvOptions] = None) -> Table:
+def read_csv(
+    path: Union[str, Path],
+    options: Optional[CsvOptions] = None,
+    keep: Optional[Callable[[str], bool]] = None,
+) -> Table:
     """Load a CSV file (RFC-4180 quoting, UTF-8, optional BOM) into a typed Table.
 
     The first row is taken as the header unless options say otherwise; empty
     and "NA" cells (configurable) become missing. Raises on a missing file,
     an empty file, duplicate or empty header names, and rows whose field
     count differs from the header's (the error names the offending line).
+
+    ``keep``, when given, is called with each header name and the table holds
+    only the columns it accepts, in header order, typed as a full read would
+    type them; the others are parsed, so every row's field count is still
+    checked, but never typed. The name and row count do not depend on it.
     """
     opts = options or CsvOptions()
     path = Path(path)
@@ -501,15 +512,16 @@ def read_csv(path: Union[str, Path], options: Optional[CsvOptions] = None) -> Ta
         rows = _checked_rows(reader, len(names), path)
         if not opts.has_header:
             rows = chain([first], rows)
-        typers = [_ColumnTyper(name, opts, missing_set) for name in names]
+        kept = [j for j, name in enumerate(names) if keep is None or keep(name)]
+        typers = {j: _ColumnTyper(names[j], opts, missing_set) for j in kept}
         n_rows = 0
         while block := list(islice(rows, _READ_ROWS)):
             n_rows += len(block)
-            for typer, cells in zip(typers, zip(*block)):
-                typer.feed(cells)
-            block = cells = None  # drop this block's text before the next is read
+            for j, typer in typers.items():
+                typer.feed([row[j] for row in block])
+            block = None  # drop this block's text before the next is read
 
-    stale = [j for j, typer in enumerate(typers) if typer.stale]
+    stale = [j for j, typer in typers.items() if typer.stale]
     if stale:  # rare: numbers, then text in a later block; type the whole text again
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=opts.delimiter)
@@ -518,11 +530,9 @@ def read_csv(path: Union[str, Path], options: Optional[CsvOptions] = None) -> Ta
             for j, cells in zip(stale, zip(*([row[k] for k in stale] for row in reader))):
                 typers[j] = _ColumnTyper(names[j], opts, missing_set)
                 typers[j].feed(cells)
-    columns = []
-    for j, typer in enumerate(typers):
-        typers[j] = None  # drop each typer's blocks once its column is built
-        columns.append(typer.column())
-    return Table(path.stem, tuple(columns), n_rows)
+    # pop each typer as its column is built, which drops its blocks
+    columns = tuple(typers.pop(j).column() for j in kept)
+    return Table(path.stem, columns, n_rows)
 
 
 # rows formatted per write_csv_to step, which bounds the text held at once
@@ -548,6 +558,30 @@ def _text_cells(c: Column, rows: slice, missing_token: str) -> list[str]:
     return _number_texts(c._data[rows], missing_token)
 
 
+def _check_labels(t: Table, missing_set: frozenset) -> None:
+    """Refuse a categorical value that would read back as missing or, having
+    surrounding whitespace, trimmed."""
+    for c in t.columns:
+        if c.kind is Kind.CATEGORICAL:
+            bad = [v for v in c._labels if v.strip().casefold() in missing_set]
+            if bad:
+                raise ValueError(f"column {c.name!r}: values {bad} would read back as missing")
+            padded = [v for v in c._labels if v != v.strip()]
+            if padded:
+                raise ValueError(f"column {c.name!r}: values {padded} would read back trimmed")
+
+
+def _write_rows(t: Table, fh, opts: CsvOptions) -> None:
+    missing_token = opts.missing_tokens[0] if opts.missing_tokens else ""
+    writer = csv.writer(fh, delimiter=opts.delimiter, lineterminator="\n")
+    writer.writerow([c.name for c in t.columns])
+    if not t.columns:
+        writer.writerows(repeat((), t.row_count))
+    for start in range(0, t.row_count, _WRITE_ROWS):
+        rows = slice(start, start + _WRITE_ROWS)
+        writer.writerows(zip(*(_text_cells(c, rows, missing_token) for c in t.columns)))
+
+
 def write_csv_to(t: Table, fh, options: Optional[CsvOptions] = None) -> None:
     """Write CSV text for a Table to an open text stream.
 
@@ -557,23 +591,8 @@ def write_csv_to(t: Table, fh, options: Optional[CsvOptions] = None) -> None:
     or, having surrounding whitespace, trimmed.
     """
     opts = options or CsvOptions()
-    missing_set = opts._missing_set()
-    for c in t.columns:
-        if c.kind is Kind.CATEGORICAL:
-            bad = [v for v in c._labels if v.strip().casefold() in missing_set]
-            if bad:
-                raise ValueError(f"column {c.name!r}: values {bad} would read back as missing")
-            padded = [v for v in c._labels if v != v.strip()]
-            if padded:
-                raise ValueError(f"column {c.name!r}: values {padded} would read back trimmed")
-    missing_token = opts.missing_tokens[0] if opts.missing_tokens else ""
-    writer = csv.writer(fh, delimiter=opts.delimiter, lineterminator="\n")
-    writer.writerow([c.name for c in t.columns])
-    if not t.columns:
-        writer.writerows(repeat((), t.row_count))
-    for start in range(0, t.row_count, _WRITE_ROWS):
-        rows = slice(start, start + _WRITE_ROWS)
-        writer.writerows(zip(*(_text_cells(c, rows, missing_token) for c in t.columns)))
+    _check_labels(t, opts._missing_set())
+    _write_rows(t, fh, opts)
 
 
 def write_csv(t: Table, path: Union[str, Path], options: Optional[CsvOptions] = None) -> None:
@@ -586,10 +605,13 @@ def write_csv(t: Table, path: Union[str, Path], options: Optional[CsvOptions] = 
     holding only one of 0 and 1 and not named in ``boolean_columns``
     (numeric), a numeric column holding exactly 0 and 1 (boolean), or an
     all-missing column (categorical). Labels that would read back as missing
-    or trimmed are refused (see :func:`write_csv_to`).
+    or trimmed are refused (see :func:`write_csv_to`) before the file is
+    opened, so a refused write leaves an existing file as it was.
     """
+    opts = options or CsvOptions()
+    _check_labels(t, opts._missing_set())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        write_csv_to(t, fh, options)
+        _write_rows(t, fh, opts)
 
 
 def _did_you_mean(t: Table, names: Sequence[str]) -> str:

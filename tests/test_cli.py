@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from conftest import ROOT
+from edakit import report, table
 from edakit.cli import main
 
 
@@ -98,6 +99,15 @@ class TestClean:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "column 'Geography': values [' x'] would read back trimmed" in err
+
+    def test_refused_write_keeps_existing_out(self, capsys, tmp_path):
+        out_csv = tmp_path / "out.csv"
+        out_csv.write_bytes(b"kept\n")
+        code, _, err = run(capsys, "clean", str(ROOT / "data" / "churn_fixture_blanks.csv"),
+                           "--impute", "Geography=constant: x", "--out", str(out_csv))
+        assert code == 2
+        assert "would read back trimmed" in err
+        assert out_csv.read_bytes() == b"kept\n"
 
     def test_unknown_strategy(self, capsys, fixture_csv):
         code, _, err = run(capsys, "clean", str(fixture_csv), "--impute", "Age=bogus")
@@ -226,6 +236,12 @@ class TestCluster:
         assert code == 2
         assert "encode" in err
 
+    def test_columns_case_hint(self, capsys, fixture_csv):
+        code, out, err = run(capsys, "cluster", str(fixture_csv), "--algo", "kmeans", "--k", "3",
+                             "--columns", "age,balance")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown columns: ['age', 'balance']; did you mean 'Age', 'Balance'?\n"
+
     def test_hier_labels(self, capsys, tmp_path):
         src = tmp_path / "pts.csv"
         src.write_text("x,y\n0,0\n0,1\n10,0\n10,1\n", encoding="utf-8")
@@ -255,6 +271,11 @@ class TestTimeseriesCommand:
                            "EstimatedSalary", "--op", "acf", "--max-lag", "0")
         assert code == 0
         assert json.loads(out)["values"] == [1.0]
+
+    def test_column_case_hint(self, capsys, fixture_csv):
+        code, out, err = run(capsys, "timeseries", str(fixture_csv), "--column", "age", "--op", "acf")
+        assert (code, out) == (2, "")
+        assert err == "error: no column named 'age'; did you mean 'Age'?\n"
 
     def test_decompose_needs_period(self, capsys, fixture_csv):
         code, _, err = run(capsys, "timeseries", str(fixture_csv), "--column",
@@ -330,6 +351,32 @@ class TestChurnReportCommand:
         assert code == 2
         assert "schema" in err
 
+    def test_extra_numeric_column_is_reported(self, capsys, fixture_csv, tmp_path):
+        lines = fixture_csv.read_text(encoding="utf-8").splitlines()
+        src = tmp_path / "extra.csv"
+        src.write_text("\n".join([lines[0] + ",Extra"] + [f"{row},{i % 7}" for i, row in enumerate(lines[1:])]) + "\n",
+                       encoding="utf-8")
+        code, _, _ = run(capsys, "churn-report", str(src), "--out", str(tmp_path / "rep"))
+        assert code == 0
+        written = json.loads((tmp_path / "rep" / "report.json").read_text(encoding="utf-8"))
+        assert list(written["null_counts"])[-1] == "Extra"
+        assert "Extra" in written["correlation_matrix"]["labels"]
+        assert not {"RowNumber", "CustomerId", "Surname"} & set(written["null_counts"])
+        # the same files as the library pipeline writes from a full read
+        report.render_report(report.churn_pipeline(table.read_csv(src)), report.ReportFormat.MARKDOWN, tmp_path / "lib")
+        for name in ("report.json", "report.md", "plots/03_correlation_heatmap.svg"):
+            assert (tmp_path / "rep" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes(), name
+
+    def test_missing_required_column_error(self, capsys, fixture_csv, tmp_path):
+        lines = fixture_csv.read_text(encoding="utf-8").splitlines()
+        age = lines[0].split(",").index("Age")
+        src = tmp_path / "no_age.csv"
+        src.write_text("".join(",".join(r.split(",")[:age] + r.split(",")[age + 1:]) + "\n" for r in lines),
+                       encoding="utf-8")
+        code, out, err = run(capsys, "churn-report", str(src), "--out", str(tmp_path / "rep"))
+        assert (code, out) == (2, "")
+        assert err == "error: churn schema mismatch: missing required column 'Age'\n"
+
     def test_artifacts_byte_identical_across_runs(self, capsys, fixture_csv, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         code1, out1, _ = run(capsys, "churn-report", str(fixture_csv), "--out", str(d1))
@@ -341,6 +388,39 @@ class TestChurnReportCommand:
         assert files1 == files2
         for rel in files1:
             assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes(), str(rel)
+
+
+HEADER = ["RowNumber", "CustomerId", "Surname", "CreditScore", "Geography", "Gender", "Age", "Tenure",
+          "Balance", "NumOfProducts", "HasCrCard", "IsActiveMember", "EstimatedSalary", "Exited"]
+
+
+@pytest.mark.parametrize("argv, typed", [
+    (["churn-report", "--out", "{tmp}"], HEADER[3:]),
+    (["describe"], HEADER),
+    (["describe", "--column", "Age"], ["Age"]),
+    (["describe", "--outliers", "Balance", "--column", "Age"], ["Balance"]),
+    (["corr", "--columns", "Tenure,CreditScore"], ["CreditScore", "Tenure"]),
+    (["cluster", "--algo", "kmeans", "--k", "2", "--columns", "Age,CreditScore"], ["CreditScore", "Age"]),
+    (["pca", "--components", "1", "--columns", "Age,Balance"], ["Age", "Balance"]),
+    (["timeseries", "--column", "EstimatedSalary", "--op", "acf"], ["EstimatedSalary"]),
+    (["plot", "--kind", "hist", "--column", "Age", "--out", "{tmp}/p.svg"], ["Age"]),
+    (["plot", "--kind", "scatter", "--x", "Age", "--y", "CreditScore", "--out", "{tmp}/p.svg"],
+     ["CreditScore", "Age"]),
+    (["plot", "--kind", "heatmap", "--out", "{tmp}/p.svg"], HEADER),
+])
+def test_commands_type_only_the_columns_they_read(capsys, fixture_csv, tmp_path, monkeypatch, argv, typed):
+    seen = []
+    real = table._ColumnTyper
+
+    def spy(name, *args):
+        seen.append(name)
+        return real(name, *args)
+
+    monkeypatch.setattr(table, "_ColumnTyper", spy)
+    argv = [argv[0], str(fixture_csv)] + [a.replace("{tmp}", str(tmp_path)) for a in argv[1:]]
+    code, _, err = run(capsys, *argv)
+    assert (code, err.startswith("error")) == (0, False)
+    assert seen == typed
 
 
 def test_start_up_loads_no_xml_or_network_modules():

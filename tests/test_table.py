@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from edakit import table
 from edakit.table import (
     Column,
     CsvOptions,
@@ -151,6 +153,72 @@ class TestReadCsvOptions:
         t = read_csv(write_text(tmp_path, text), opts)
         cols = [[r[j] for r in rows] for j in range(len(header))]
         assert infer_schema(header, cols, opts) == null_counts(t)
+
+
+class TestReadKeep:
+    """``read_csv(p, keep=...)`` equals the full read with the other columns
+    dropped, for every subset of the header."""
+
+    def check_subsets(self, path, opts=None):
+        full = read_csv(path, opts)
+        names = full.column_names
+        for size in range(len(names) + 1):
+            for subset in itertools.combinations(names, size):
+                got = read_csv(path, opts, keep=set(subset).__contains__)
+                assert got == select_columns(full, list(subset)), subset
+                assert got == drop_columns(full, [n for n in names if n not in subset]), subset
+        return full
+
+    def test_missing_cells(self, tmp_path):
+        full = self.check_subsets(write_text(tmp_path, "n,g,b,e\n1.5,x,0,\nNA,,1,NA\n-2, y ,,\n3,NA,1,\n"))
+        assert [c.null_count for c in full.columns] == [1, 2, 1, 4]
+        assert [c.kind for c in full.columns] == [Kind.NUMERIC, Kind.CATEGORICAL, Kind.BOOLEAN, Kind.CATEGORICAL]
+
+    def test_bom_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + b"Age,City,Flag\n30,Paris,1\n41,Lyon,0\n")
+        assert read_csv(path, keep={"Age"}.__contains__).column_names == ["Age"]
+        self.check_subsets(path)
+
+    def test_no_header(self, tmp_path):
+        opts = CsvOptions(has_header=False)
+        path = write_text(tmp_path, "1,a,0\n2,,1\n3,b,1\n")
+        assert read_csv(path, opts, keep={"col1"}.__contains__).column("col1").values == ("a", None, "b")
+        self.check_subsets(path, opts)
+
+    def test_text_after_the_first_block(self, tmp_path, monkeypatch):
+        # s and u hold numbers through the first block and text after it, so
+        # the reader types them again from the file: only when kept, and then
+        # only the kept ones
+        n = table._READ_ROWS + 10
+        lines = ["s,n,u,g"] + [f"{i},{i * 0.5},{-i},{'ab'[i % 2]}" for i in range(n)]
+        lines[table._READ_ROWS + 4] = "late,1,text,a"
+        path = write_text(tmp_path, "\n".join(lines) + "\n")
+        full = self.check_subsets(path)
+        assert [c.kind for c in full.columns] == [Kind.CATEGORICAL, Kind.NUMERIC, Kind.CATEGORICAL, Kind.CATEGORICAL]
+        typed = []
+        real = table._ColumnTyper
+
+        def spy(name, *args):
+            typed.append(name)
+            return real(name, *args)
+
+        monkeypatch.setattr(table, "_ColumnTyper", spy)
+        read_csv(path, keep={"s", "n"}.__contains__)
+        assert typed == ["s", "n", "s"]
+        typed.clear()
+        read_csv(path, keep={"n", "g"}.__contains__)
+        assert typed == ["n", "g"]
+
+    def test_no_column_kept(self, tmp_path):
+        path = write_text(tmp_path, "a,b\n1,x\n2,y\n3,z\n", name="kept_rows.csv")
+        t = read_csv(path, keep=lambda name: False)
+        assert (t.name, t.columns, t.row_count) == ("kept_rows", (), 3)
+
+    def test_short_row_in_an_unkept_column_names_its_line(self, tmp_path):
+        path = write_text(tmp_path, "a,b,c\n1,2,3\n4,5\n6,7,8\n")
+        with pytest.raises(ValueError, match=r"line 3: expected 3 fields, got 2$"):
+            read_csv(path, keep={"a"}.__contains__)
 
 
 class TestNumericArrays:
@@ -402,17 +470,19 @@ class TestRoundTrip:
     def test_write_rejects_label_that_reads_as_missing(self, tmp_path, label):
         t = Table("t", (categorical_column("g", [label, "x", label]),), 3)
         out = tmp_path / "out.csv"
+        out.write_bytes(b"kept\n1\n")
         with pytest.raises(ValueError, match=r"'g'.*'%s'" % label):
             write_csv(t, out)
-        assert out.read_text() == ""
+        assert out.read_bytes() == b"kept\n1\n"  # refused before the file is opened
 
     @pytest.mark.parametrize("label", [" x", "x ", "\tx\n"])
     def test_write_rejects_label_that_reads_back_trimmed(self, tmp_path, label):
         t = Table("t", (categorical_column("g", [label, "y", None]),), 3)
         out = tmp_path / "out.csv"
+        out.write_bytes(b"kept\n1\n")
         with pytest.raises(ValueError, match=re.escape(f"column 'g': values [{label!r}] would read back trimmed")):
             write_csv(t, out)
-        assert out.read_text() == ""
+        assert out.read_bytes() == b"kept\n1\n"
 
     def test_write_checks_configured_missing_tokens(self, tmp_path):
         t = Table("t", (categorical_column("g", ["-", "NA"]),), 2)
