@@ -103,6 +103,7 @@ CASES: dict[str, list[str]] = {
     "blanks_describe_schema": ["describe", "{blanks}"],
     "blanks_describe_column_age": ["describe", "{blanks}", "--column", "Age"],
     "blanks_churn_markdown": ["churn-report", "{blanks}", "--out", "{out}", "--format", "markdown"],
+    "blanks_churn_html": ["churn-report", "{blanks}", "--out", "{out}", "--format", "html"],
     "blanks_corr_pearson": ["corr", "{blanks}", "--method", "pearson", "--columns", NUMERIC_SUBSET],
     "blanks_corr_spearman": ["corr", "{blanks}", "--method", "spearman", "--columns", NUMERIC_SUBSET],
     "blanks_corr_kendall": ["corr", "{blanks}", "--method", "kendall", "--columns", NUMERIC_SUBSET],

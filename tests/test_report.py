@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import re
+from html.parser import HTMLParser
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,53 @@ def raw_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         return list(reader)
+
+
+def markdown_tables(text):
+    """{"## " heading: rows of cell text} for each Markdown table, ``\\|`` read as ``|``."""
+    tables, heading = {}, None
+    for line in text.splitlines():
+        if line.startswith("## "):
+            heading = line[3:]
+        elif line.startswith("| ") and not line.startswith("| --- "):
+            cells = re.split(r"(?<!\\)\|", line)[1:-1]
+            tables.setdefault(heading, []).append([c.strip().replace("\\|", "|") for c in cells])
+    return tables
+
+
+class _HtmlTables(HTMLParser):
+    """{<h2> heading: rows of cell text} for each HTML table, entities decoded."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.tables, self.heading, self.in_heading, self.cell = {}, None, False, None
+
+    def handle_starttag(self, tag, attrs):
+        if tag == "h2":
+            self.heading, self.in_heading = "", True
+        elif tag == "tr":
+            self.tables.setdefault(self.heading, []).append([])
+        elif tag in ("td", "th"):
+            self.cell = ""
+
+    def handle_endtag(self, tag):
+        if tag == "h2":
+            self.in_heading = False
+        elif tag in ("td", "th"):
+            self.tables[self.heading][-1].append(self.cell)
+            self.cell = None
+
+    def handle_data(self, data):
+        if self.cell is not None:
+            self.cell += data
+        elif self.in_heading:
+            self.heading += data
+
+
+def html_tables(text):
+    parser = _HtmlTables()
+    parser.feed(text)
+    return parser.tables
 
 
 class TestValidateSchema:
@@ -277,6 +326,28 @@ class TestRender:
         assert any(line.startswith("| Spain\\|Islands | ") for line in lines)
         f12 = next(line for line in lines if line.startswith("| F12 |"))
         assert "Spain\\|Islands=" in f12 and "Spain|" not in f12
+
+    def test_markdown_and_html_hold_the_same_tables(self, fixture_table, tmp_path):
+        # "<b>" and "&amp;" read back as written only when HTML escapes < and &
+        label, column = "Spain|Isles<b> &amp; Co", "Sur|name&amp;"
+        geo = [{"Spain": label}.get(g, g) for g in fixture_table.column("Geography").values]
+        t = fixture_table.replace_column(categorical_column("Geography", geo))
+        t = t.with_columns(t.columns + (categorical_column(column, ["x"] * t.row_count),))
+        r = churn_pipeline(t)
+        render_report(r, ReportFormat.MARKDOWN, tmp_path / "md")
+        render_report(r, ReportFormat.HTML, tmp_path / "html")
+        md = markdown_tables((tmp_path / "md" / "report.md").read_text(encoding="utf-8"))
+        html = html_tables((tmp_path / "html" / "report.html").read_text(encoding="utf-8"))
+        cuts = ("geography", "age band", "gender")
+        assert list(md) == ["Null counts", *(f"Churn rate by {c}" for c in cuts), "Findings"]
+        for c in cuts:
+            heading = f"Churn rate by {c}"
+            assert md[heading][0] == [c, "churn rate"] and html[heading][0] == [c, "rate"]
+            md[heading][0][1] = "rate"
+        assert md == html
+        assert [column, "0"] in md["Null counts"]
+        assert any(row[0] == label for row in md["Churn rate by geography"])
+        assert f"{label}=" in next(row for row in md["Findings"] if row[0] == "F12")[2]
 
     def test_empty_findings_edge(self, fixture_table, tmp_path):
         r = churn_pipeline(fixture_table)
