@@ -252,23 +252,20 @@ def _require(value, flag: str):
     return value
 
 
+# --evaluate choice -> churn_pipeline's evaluate_findings
+_EVALUATE = {"auto": None, "always": True, "never": False}
+
+
 def cmd_churn_report(args) -> int:
     # step 1 of the pipeline drops the identifier columns, so they are never typed
     t = table.read_csv(args.csv, keep=lambda name: name not in report.DROPPABLE)
-    evaluate = {"auto": None, "always": True, "never": False}[args.evaluate]
-    rep = report.churn_pipeline(t, evaluate_findings=evaluate)
+    rep = report.churn_pipeline(t, evaluate_findings=_EVALUATE[args.evaluate])
     fmt = report.ReportFormat(args.format)
     written = report.render_report(rep, fmt, args.out)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
-    _print_json(
-        {
-            "row_count": rep.row_count,
-            "churn_rate": rep.churn_rate,
-            "hascrcard_rate": rep.hascrcard_rate,
-            "findings": [f.to_dict() for f in rep.findings],
-        }
-    )
+    full = rep.to_json_dict()
+    _print_json({k: full[k] for k in ("row_count", "churn_rate", "hascrcard_rate", "findings")})
     return report.exit_code(rep)
 
 
@@ -300,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corr", help="correlation matrix, optionally with a heatmap")
     p.add_argument("csv")
-    p.add_argument("--method", choices=["pearson", "spearman", "kendall"], default="pearson")
+    p.add_argument("--method", choices=[m.value for m in assoc.CorrMethod], default="pearson")
     p.add_argument("--columns", help="comma-separated column subset")
     p.add_argument("--heatmap", metavar="OUT_SVG")
     p.set_defaults(fn=cmd_corr)
@@ -311,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--eps", type=float)
     p.add_argument("--min-pts", type=int, dest="min_pts")
-    p.add_argument("--linkage", choices=["single", "complete", "average"], default="average")
+    p.add_argument("--linkage", choices=[m.value for m in cluster.Linkage], default="average")
     # argparse applies type=int to a string default only for the subcommand that runs
     p.add_argument("--seed", type=int, default=os.environ.get("EDA_SEED", str(DEFAULT_SEED)))
     p.add_argument("--columns", help="comma-separated column subset")
@@ -346,15 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x")
     p.add_argument("--y")
     p.add_argument("--bins", type=int)
-    p.add_argument("--method", choices=["pearson", "spearman", "kendall"], default="pearson")
+    p.add_argument("--method", choices=[m.value for m in assoc.CorrMethod], default="pearson")
     p.add_argument("--title")
     p.set_defaults(fn=cmd_plot)
 
     p = sub.add_parser("churn-report", help="run the churn case-study pipeline")
     p.add_argument("csv")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--format", choices=["markdown", "html"], default="markdown")
-    p.add_argument("--evaluate", choices=["auto", "always", "never"], default="auto",
+    p.add_argument("--format", choices=[f.value for f in report.ReportFormat], default="markdown")
+    p.add_argument("--evaluate", choices=list(_EVALUATE), default="auto",
                    help="auto: assert findings only on the full-scale dataset")
     p.set_defaults(fn=cmd_churn_report)
     return parser

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from html import escape
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -148,6 +148,14 @@ def _churn_rates(ct: assoc.ContingencyTable) -> dict:
     return {g: dict(zip(ct.col_labels, row)).get("1", 0) / sum(row) for g, row in zip(ct.row_labels, ct.counts)}
 
 
+def _present_values(t: Table, name: str) -> np.ndarray:
+    """The present values of a numeric or boolean column, which must have some."""
+    values = table.numeric_values(t.column(name))
+    if not values.size:
+        raise ValueError(f"column {name!r} has no present values")
+    return values
+
+
 def churn_pipeline(t: Table, evaluate_findings: Optional[bool] = None) -> ChurnReport:
     """Run the fixed churn analysis sequence and evaluate the findings.
 
@@ -216,10 +224,7 @@ def churn_pipeline(t: Table, evaluate_findings: Optional[bool] = None) -> ChurnR
 
     with _step(9, "overall rates"):
         churn_rate = float(table.numeric_values(exited).mean())  # step 8 needs Exited present
-        has_card = table.numeric_values(t.column("HasCrCard"))
-        if not has_card.size:
-            raise ValueError("column 'HasCrCard' has no present values")
-        hascrcard_rate = float(has_card.mean())
+        hascrcard_rate = float(_present_values(t, "HasCrCard").mean())
 
     with _step(10, "churn by age band and gender"):
         # labels "[0,30)" .. "[60,inf]" sort in age order as text, the order
@@ -290,12 +295,12 @@ def _evaluate_findings(r: ChurnReport, t: Table, cs_hist: stats.Histogram) -> tu
     add("F4", "tenure approximately uniform (interior year counts within 30% of mean)",
         measured4, ok4)
 
-    balance = table.numeric_values(t.column("Balance"))
+    balance = _present_values(t, "Balance")
     zero_share = float((balance == 0.0).sum()) / len(balance)
     add("F5", "significant concentration of exactly-zero balances (> 20%)",
         {"zero_balance_share": zero_share}, zero_share > 0.2)
 
-    products = table.numeric_values(t.column("NumOfProducts"))
+    products = _present_values(t, "NumOfProducts")
     share12 = float(((products == 1.0) | (products == 2.0)).sum()) / len(products)
     add("F6", "most customers hold 1 or 2 products (> 90%)",
         {"share_one_or_two_products": share12}, share12 > 0.9)
@@ -351,7 +356,9 @@ def render_report(
 ) -> list[Path]:
     """Write report.{md|html}, report.json and plots/*.svg under out_dir.
 
-    File contents are a pure function of the report, so repeated runs
+    Both formats render the same list of tables; the one difference is the
+    churn-rate column's header, ``churn rate`` in Markdown and ``rate`` in
+    HTML. File contents are a pure function of the report, so repeated runs
     produce byte-identical output. Returns the written paths.
     """
     out = Path(out_dir)
@@ -369,100 +376,66 @@ def render_report(
         stats._write_json(r.to_json_dict(), fh)
     written.append(json_path)
 
-    if fmt is ReportFormat.MARKDOWN:
-        doc_path = out / "report.md"
-        doc_path.write_text(_render_markdown(r), encoding="utf-8")
-    else:
-        doc_path = out / "report.html"
-        doc_path.write_text(_render_html(r), encoding="utf-8")
+    name, render = _DOCUMENTS[fmt]
+    doc_path = out / name
+    doc_path.write_text(render(r), encoding="utf-8")
     written.append(doc_path)
     return written
 
 
-def _rate_tables(r: ChurnReport) -> tuple[tuple[str, dict], ...]:
-    """(row heading, churn rate per label) for each churn cut, in report order."""
-    return (("geography", r.churn_by_geography), ("age band", r.churn_by_age_band), ("gender", r.churn_by_gender))
+def _headline(r: ChurnReport) -> tuple[str, ...]:
+    """The report's headline figures, one bullet each."""
+    return (
+        f"Churn rate: {r.churn_rate:.4f}",
+        f"Credit card holder rate: {r.hascrcard_rate:.4f}",
+        f"Credit score vs age Pearson r: {r.credit_age_pearson:.4f}",
+    )
 
 
-def _md(text: str) -> str:
-    """A markdown table cell: an unescaped ``|`` would split the cell."""
-    return text.replace("|", "\\|")
+def _tables(r: ChurnReport, rate_heading: str) -> Iterator[tuple[str, tuple, list[tuple]]]:
+    """(heading, header cells, rows of cell text) for each table, in report
+    order; ``rate_heading`` heads the churn-rate column."""
+    yield "Null counts", ("column", "nulls"), [(name, str(count)) for name, count in r.null_counts.items()]
+    cuts = {"geography": r.churn_by_geography, "age band": r.churn_by_age_band, "gender": r.churn_by_gender}
+    for what, rates in cuts.items():
+        yield f"Churn rate by {what}", (what, rate_heading), [(k, f"{v:.4f}") for k, v in rates.items()]
+    findings = [(f.claim_id, f.claim, _fmt_measure(f.measured), f.verdict.value) for f in r.findings]
+    yield "Findings", ("id", "claim", "measured", "verdict"), findings
 
 
 def _render_markdown(r: ChurnReport) -> str:
-    lines = ["# Bank churn analysis report", ""]
-    lines.append(f"Rows analyzed: {r.row_count}")
-    lines.append("")
-    lines.append(f"- Churn rate: {r.churn_rate:.4f}")
-    lines.append(f"- Credit card holder rate: {r.hascrcard_rate:.4f}")
-    lines.append(f"- Credit score vs age Pearson r: {r.credit_age_pearson:.4f}")
-    lines.append("")
-    lines.append("## Null counts")
-    lines.append("")
-    lines.append("| column | nulls |")
-    lines.append("| --- | --- |")
-    for name, count in r.null_counts.items():
-        lines.append(f"| {_md(name)} | {count} |")
-    lines.append("")
-    for what, rates in _rate_tables(r):
-        lines.append(f"## Churn rate by {what}")
-        lines.append("")
-        lines.append(f"| {what} | churn rate |")
-        lines.append("| --- | --- |")
-        for label, rate in rates.items():
-            lines.append(f"| {_md(label)} | {rate:.4f} |")
-        lines.append("")
-    lines.append("## Findings")
-    lines.append("")
-    lines.append("| id | claim | measured | verdict |")
-    lines.append("| --- | --- | --- | --- |")
-    for f in r.findings:
-        lines.append(f"| {f.claim_id} | {_md(f.claim)} | {_md(_fmt_measure(f.measured))} | {f.verdict.value} |")
-    lines.append("")
-    lines.append("## Plots")
-    lines.append("")
+    def row(cells: tuple) -> str:
+        # an unescaped "|" would split the cell
+        return "| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |"
+
+    lines = ["# Bank churn analysis report", "", f"Rows analyzed: {r.row_count}", ""]
+    lines += [f"- {item}" for item in _headline(r)] + [""]
+    for heading, header, rows in _tables(r, "churn rate"):
+        lines += [f"## {heading}", "", row(header), row(("---",) * len(header))] + [row(c) for c in rows] + [""]
+    lines += ["## Plots", ""]
     for fname, _ in r.plots:
         title = fname.split("_", 1)[1].rsplit(".", 1)[0].replace("_", " ")
         lines.append(f"![{title}](plots/{fname})")
-    lines.append("")
-    return "\n".join(lines)
+    return "\n".join(lines + [""])
 
 
 def _render_html(r: ChurnReport) -> str:
-    rows = "".join(
-        f"<tr><td>{f.claim_id}</td><td>{escape(f.claim, quote=False)}</td>"
-        f"<td>{escape(_fmt_measure(f.measured), quote=False)}</td><td>{f.verdict.value}</td></tr>"
-        for f in r.findings
-    )
-    nulls = "".join(
-        f"<tr><td>{escape(name, quote=False)}</td><td>{count}</td></tr>"
-        for name, count in r.null_counts.items()
-    )
-    churn = "".join(
-        f"<h2>Churn rate by {what}</h2><table><tr><th>{what}</th><th>rate</th></tr>"
-        + "".join(f"<tr><td>{escape(k, quote=False)}</td><td>{v:.4f}</td></tr>" for k, v in rates.items())
-        + "</table>"
-        for what, rates in _rate_tables(r)
-    )
-    imgs = "".join(
-        f'<figure><img src="plots/{fname}" alt="{fname}"/></figure>' for fname, _ in r.plots
-    )
-    return (
-        "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/>"
-        "<title>Bank churn analysis report</title></head><body>"
-        "<h1>Bank churn analysis report</h1>"
-        f"<p>Rows analyzed: {r.row_count}</p>"
-        f"<ul><li>Churn rate: {r.churn_rate:.4f}</li>"
-        f"<li>Credit card holder rate: {r.hascrcard_rate:.4f}</li>"
-        f"<li>Credit score vs age Pearson r: {r.credit_age_pearson:.4f}</li></ul>"
-        "<h2>Null counts</h2><table><tr><th>column</th><th>nulls</th></tr>"
-        f"{nulls}</table>"
-        f"{churn}"
-        "<h2>Findings</h2><table><tr><th>id</th><th>claim</th><th>measured</th><th>verdict</th></tr>"
-        f"{rows}</table>"
-        f"<h2>Plots</h2>{imgs}"
-        "</body></html>\n"
-    )
+    def row(tag: str, cells: tuple) -> str:
+        return "<tr>" + "".join(f"<{tag}>{escape(c, quote=False)}</{tag}>" for c in cells) + "</tr>"
+
+    head = '<!DOCTYPE html>\n<html><head><meta charset="utf-8"/><title>Bank churn analysis report</title></head>'
+    parts = [head, f"<body><h1>Bank churn analysis report</h1><p>Rows analyzed: {r.row_count}</p><ul>"]
+    parts += [f"<li>{item}</li>" for item in _headline(r)] + ["</ul>"]
+    for heading, header, rows in _tables(r, "rate"):
+        parts += [f"<h2>{heading}</h2><table>", row("th", header)] + [row("td", c) for c in rows] + ["</table>"]
+    imgs = [f'<figure><img src="plots/{fname}" alt="{fname}"/></figure>' for fname, _ in r.plots]
+    return "".join(parts + ["<h2>Plots</h2>", *imgs, "</body></html>\n"])
+
+
+_DOCUMENTS = {
+    ReportFormat.MARKDOWN: ("report.md", _render_markdown),
+    ReportFormat.HTML: ("report.html", _render_html),
+}
 
 
 def exit_code(r: ChurnReport) -> int:

@@ -184,7 +184,8 @@ class TestPipeline:
         ("Age", [], r"step 6 \(credit score vs age\)"),
         ("Tenure", [], r"step 7 \(tenure counts\)"),
         ("Exited", [], r"step 8 \(churn by geography\)"),
-        ("Balance", [], r"step 11 \(findings\)"),
+        ("Balance", [], r"step 11 \(findings\) failed: .*Balance"),
+        ("NumOfProducts", [], r"step 11 \(findings\) failed: .*NumOfProducts"),
         ("EstimatedSalary", [], r"step 11 \(findings\)"),
         ("HasCrCard", [], r"step 9 \(overall rates\) failed: .*HasCrCard"),
         ("Age", [-1.0, 30.0], r"step 10 \(churn by age band and gender\) failed: .*Age"),
