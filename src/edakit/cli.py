@@ -6,6 +6,11 @@ Exit codes: 0 success, 2 usage/input error, 3 findings failure
 (churn-report only). Seeded subcommands default to DEFAULT_SEED, overridable
 with the EDA_SEED environment variable and the --seed flag; identical seed
 and input give byte-identical output.
+
+``eda`` runs numpy's BLAS on the calling thread: importing this module sets
+OPENBLAS_NUM_THREADS to 1 unless the environment already sets it. It imports
+every edakit module up front, whereas ``import edakit`` alone loads each
+module on first use.
 """
 
 from __future__ import annotations
@@ -15,6 +20,9 @@ import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
+
+# set before numpy loads OpenBLAS: a thread pool costs more to start than it saves on narrow matrices
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -148,12 +148,17 @@ def _churn_rates(ct: assoc.ContingencyTable) -> dict:
     return {g: dict(zip(ct.col_labels, row)).get("1", 0) / sum(row) for g, row in zip(ct.row_labels, ct.counts)}
 
 
+def _present_column(t: Table, name: str) -> table.Column:
+    """Column ``name`` of t, which must have a present value."""
+    c = t.column(name)
+    if c.null_count == len(c):
+        raise ValueError(f"column {name!r} has no present values")
+    return c
+
+
 def _present_values(t: Table, name: str) -> np.ndarray:
     """The present values of a numeric or boolean column, which must have some."""
-    values = table.numeric_values(t.column(name))
-    if not values.size:
-        raise ValueError(f"column {name!r} has no present values")
-    return values
+    return table.numeric_values(_present_column(t, name))
 
 
 def churn_pipeline(t: Table, evaluate_findings: Optional[bool] = None) -> ChurnReport:
@@ -180,8 +185,8 @@ def churn_pipeline(t: Table, evaluate_findings: Optional[bool] = None) -> ChurnR
         null_counts = {e.name: e.null_count for e in table.null_counts(t).entries}
 
     with _step(3, "geography and gender counts"):
-        geo = table.value_counts(t.column("Geography"))
-        gender = table.value_counts(t.column("Gender"))
+        geo = table.value_counts(_present_column(t, "Geography"))
+        gender = table.value_counts(_present_column(t, "Gender"))
         plots.append(("01_geography_bar.svg", viz.plot_bar(geo, "Customers by geography")))
         plots.append(("02_gender_bar.svg", viz.plot_bar(gender, "Customers by gender")))
 
@@ -196,19 +201,19 @@ def churn_pipeline(t: Table, evaluate_findings: Optional[bool] = None) -> ChurnR
         plots.append(("04_credit_score_hist.svg", viz.plot_histogram(cs_hist, "Credit score distribution")))
 
     with _step(6, "credit score vs age"):
-        age = t.column("Age")
+        age = _present_column(t, "Age")
         cs_age_r = assoc.pearson(cs, age)
         plots.append(("05_credit_age_scatter.svg", viz.plot_scatter(cs, age, "Credit score vs age")))
 
     with _step(7, "tenure counts"):
-        years, counts = np.unique(table.numeric_values(t.column("Tenure")), return_counts=True)  # ascending
+        years, counts = np.unique(_present_values(t, "Tenure"), return_counts=True)  # ascending
         total = int(counts.sum())
         rows = (FreqRow(f"{y:g}", n, n / total) for y, n in zip(years.tolist(), counts.tolist()))
         tenure = FrequencyTable(tuple(rows))
         plots.append(("06_tenure_bar.svg", viz.plot_bar(tenure, "Customers by tenure")))
 
     with _step(8, "churn by geography"):
-        exited = t.column("Exited")
+        exited = _present_column(t, "Exited")
         ct = assoc.contingency(t.column("Geography"), exited)
         churn_by_geo = _churn_rates(ct)
         # flattened grouped bar: stayed/exited counts per geography, zero cells omitted

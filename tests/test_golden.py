@@ -4,7 +4,9 @@ Each case runs one ``eda`` command in-process against
 ``data/churn_fixture.csv`` or its copy with missing cells,
 ``data/churn_fixture_blanks.csv``, and compares its stdout and every file it
 writes with ``tests/golden/<case>/``, byte for byte. Refactors must leave these
-bytes alone. A change that alters output on purpose regenerates them with
+bytes alone. The stdout-only numeric cases also run as a fresh
+``python -m edakit.cli`` process, under the BLAS thread setting ``eda`` gives
+itself. A change that alters output on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -15,7 +17,9 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -154,6 +158,40 @@ def test_output_matches_golden(name, tmp_path):
     assert sorted(actual) == sorted(expected)
     for rel in expected:
         assert actual[rel] == expected[rel], f"{name}/{rel} differs from its golden copy"
+
+
+# stdout-only cases whose numbers go through numpy's BLAS
+PROCESS_CASES = sorted(
+    n for n in CASES
+    if n.startswith("corr_")
+    or n in ("cluster_kmeans", "cluster_gmm", "cluster_hier", "cluster_dbscan",
+             "pca_standardize", "timeseries_decompose")
+)
+
+
+def _child_env(**extra: str) -> dict[str, str]:
+    """This process's environment without OPENBLAS_NUM_THREADS, with src/ importable."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return {**env, **extra}
+
+
+@pytest.mark.parametrize("name", PROCESS_CASES)
+def test_fresh_process_stdout_matches_golden(name):
+    argv = [a.format(csv=FIXTURE, blanks=BLANKS) for a in CASES[name]]
+    done = subprocess.run(
+        [sys.executable, "-m", "edakit.cli", *argv], env=_child_env(), capture_output=True, check=True,
+    )
+    assert done.stdout == read_golden(name)["stdout"]
+
+
+def test_cli_keeps_a_set_blas_thread_count():
+    code = "import os, edakit.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(OPENBLAS_NUM_THREADS="2"),
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "2\n"
 
 
 def regenerate() -> None:

@@ -180,10 +180,11 @@ class TestPipeline:
     # with a single present value passes schema validation but cannot be summarized
     STEP_FAILURES = [
         ("CreditScore", [700.0], r"step 5 \(credit score summary\)"),
-        ("Gender", [], r"step 3 \(geography and gender counts\)"),
-        ("Age", [], r"step 6 \(credit score vs age\)"),
-        ("Tenure", [], r"step 7 \(tenure counts\)"),
-        ("Exited", [], r"step 8 \(churn by geography\)"),
+        ("Geography", [], r"step 3 \(geography and gender counts\) failed: .*Geography"),
+        ("Gender", [], r"step 3 \(geography and gender counts\) failed: .*Gender"),
+        ("Age", [], r"step 6 \(credit score vs age\) failed: .*Age"),
+        ("Tenure", [], r"step 7 \(tenure counts\) failed: .*Tenure"),
+        ("Exited", [], r"step 8 \(churn by geography\) failed: .*Exited"),
         ("Balance", [], r"step 11 \(findings\) failed: .*Balance"),
         ("NumOfProducts", [], r"step 11 \(findings\) failed: .*NumOfProducts"),
         ("EstimatedSalary", [], r"step 11 \(findings\)"),
