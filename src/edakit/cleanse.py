@@ -2,7 +2,8 @@
 encoding and binning.
 
 Outlier fences and quartiles share the package-wide conventions from the
-stats module (sample std, type-7 quantiles).
+stats module (sample std, type-7 quantiles); binning takes its rules and
+edges from there too.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .stats import _mode_smallest, quantile_type7, sample_variance
+from .stats import (
+    BinCount, BinRule, Edges, Quantile, _bin_edges, _bin_index, _mode_smallest, quantile_type7,
+    sample_variance,
+)
 from .table import Column, Kind, Table, _number_texts, label_codes, numeric_values, numeric_with_mask
 
 
@@ -211,17 +215,14 @@ def impute(c: Column, strategy: ImputeStrategy, context: Optional[Table] = None)
 
 
 def _fill_missing(c: Column, fill) -> Column:
-    """``c`` with every missing cell set to ``fill``, converted as the
-    ``*_column`` builders convert a cell (float, int or str)."""
+    """``c`` with every missing cell set to ``fill``: its text for a
+    categorical column, ``float(fill)`` for a numeric or boolean one."""
     if c.kind is Kind.CATEGORICAL:
         codes, labels = label_codes(c)
         return Column.from_codes(c.name, np.where(codes < 0, len(labels), codes), labels + (str(fill),))
     vals, present = numeric_with_mask(c)
-    if c.kind is Kind.NUMERIC:
-        value = float(fill)
-    else:  # an int other than 0 or 1 becomes NaN, which the boolean check rejects
-        value = {0: 0.0, 1: 1.0}.get(int(fill), math.nan)
-    return Column.from_floats(c.name, c.kind, np.where(present, vals, value), np.ones(len(c), bool))
+    # from_floats refuses a boolean fill other than 0 or 1
+    return Column.from_floats(c.name, c.kind, np.where(present, vals, float(fill)), np.ones(len(c), bool))
 
 
 def _impute_regression(target: Column, predictor: Column) -> Column:
@@ -309,10 +310,11 @@ def transform(c: Column, kind: TransformKind) -> Column:
         with np.errstate(all="ignore"):
             out[present] = kind.lo + (values - lo) / (hi - lo) * (kind.hi - kind.lo)
     elif isinstance(kind, ZScoreStandardize):
-        if len(values) < 2 or sample_variance(values) == 0:
+        variance = sample_variance(values) if len(values) >= 2 else 0.0
+        if variance == 0:
             raise ValueError(f"column {c.name!r}: zero variance, standardization undefined")
         mean = float(np.mean(values))
-        std = math.sqrt(sample_variance(values))
+        std = math.sqrt(variance)
         with np.errstate(all="ignore"):
             out[present] = (values - mean) / std
     else:
@@ -366,36 +368,7 @@ def encode(t: Table, column: str, kind: EncodeKind) -> Table:
 # ---------------------------------------------------------------------------
 # binning
 
-@dataclass(frozen=True)
-class EqualWidth:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("bin count must be >= 1")
-
-
-@dataclass(frozen=True)
-class Quantile:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("bin count must be >= 1")
-
-
-@dataclass(frozen=True)
-class Edges:
-    edges: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.edges) < 2:
-            raise ValueError("need at least 2 edges")
-        if any(not a < b for a, b in zip(self.edges, self.edges[1:])):  # NaN compares False
-            raise ValueError("edges must be strictly increasing")
-
-
-BinSpec = Union[EqualWidth, Quantile, Edges]
+EqualWidth = BinCount  # bin_column's public name for equal-width bins
 
 
 def _bin_labels(edges: np.ndarray) -> list[str]:
@@ -406,40 +379,14 @@ def _bin_labels(edges: np.ndarray) -> list[str]:
     return [f"[{lo},{hi}{close}" for lo, hi, close in zip(texts, texts[1:], closes)]
 
 
-def bin_column(c: Column, spec: BinSpec) -> Column:
-    """Discretize a numeric column into labeled intervals.
-
-    Labels read "[lo,hi)" with the final bin closed. Quantile edges are
-    type-7; duplicate quantile edges are collapsed, so fewer than n bins can
-    result on heavily tied data. Explicit Edges reject out-of-range values.
-    A constant column under EqualWidth yields the single bin [v,v].
-    """
-    values = numeric_values(c)
+def bin_column(c: Column, spec: BinRule) -> Column:
+    """Discretize a numeric column into labeled intervals: the bins that
+    ``stats.histogram`` gives under the same rule, labeled "[lo,hi)" with
+    the final bin closed. A constant column yields the single bin [v,v]
+    under every rule but explicit Edges, which reject out-of-range values."""
+    vals, present = numeric_with_mask(c)
+    values = vals[present]
     if len(values) == 0:
         raise ValueError(f"column {c.name!r} has no data to bin")
-    lo, hi = float(np.min(values)), float(np.max(values))
-
-    vals, present = numeric_with_mask(c)
-    if isinstance(spec, (EqualWidth, Quantile)) and lo == hi:
-        return Column.from_codes(c.name, np.where(present, 0, -1), _bin_labels(np.array([lo, hi])))
-    if isinstance(spec, EqualWidth):
-        edges = np.linspace(lo, hi, spec.n + 1)
-    elif isinstance(spec, Quantile):
-        s = np.sort(values)
-        raw = [quantile_type7(s, 100.0 * i / spec.n) for i in range(spec.n + 1)]
-        edges = []
-        for e in raw:
-            if not edges or e > edges[-1]:
-                edges.append(e)
-        edges = np.array(edges)
-    elif isinstance(spec, Edges):
-        edges = np.array(spec.edges, dtype=float)
-        if lo < edges[0] or hi > edges[-1]:
-            bad = lo if lo < edges[0] else hi
-            raise ValueError(f"column {c.name!r}: value {bad} outside explicit edges")
-    else:
-        raise TypeError(f"unsupported bin spec: {spec!r}")
-
-    n_bins = len(edges) - 1
-    bins = np.clip(np.searchsorted(edges, vals, side="right") - 1, 0, n_bins - 1)
-    return Column.from_codes(c.name, np.where(present, bins, -1), _bin_labels(edges))
+    edges = _bin_edges(c.name, values, spec)
+    return Column.from_codes(c.name, np.where(present, _bin_index(edges, vals), -1), _bin_labels(edges))

@@ -107,11 +107,8 @@ def _parse_impute(spec: str) -> tuple[str, cleanse.ImputeStrategy]:
     keyword = keyword.lower()
     if not colon and keyword in _IMPUTE_NAMES:
         return col, _IMPUTE_NAMES[keyword]
-    if colon and keyword == "constant":
-        try:
-            return col, cleanse.Constant(float(arg))
-        except ValueError:
-            return col, cleanse.Constant(arg)
+    if colon and keyword == "constant":  # impute converts the text for a numeric or boolean column
+        return col, cleanse.Constant(arg)
     if colon and keyword == "regress":
         return col, cleanse.LinearRegression(arg)
     raise ValueError(f"unknown impute strategy {strat!r}")

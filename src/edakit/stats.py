@@ -112,7 +112,7 @@ def _write_json(payload, out: TextIO) -> None:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Equal-width bin edges (n+1) and counts (n); last bin closed.
+    """Bin edges (n+1) and counts (n); last bin closed.
 
     Every non-missing value falls in exactly one bin, so there is no
     underflow or overflow. A constant column degenerates to a single
@@ -128,11 +128,13 @@ class Histogram:
 
 @dataclass(frozen=True)
 class AutoBins:
-    """Sturges' rule: ceil(log2 n) + 1 bins."""
+    """Sturges' rule: ceil(log2 n) + 1 equal-width bins."""
 
 
 @dataclass(frozen=True)
 class BinCount:
+    """n equal-width bins from the minimum to the maximum."""
+
     n: int
 
     def __post_init__(self) -> None:
@@ -142,6 +144,8 @@ class BinCount:
 
 @dataclass(frozen=True)
 class BinWidth:
+    """Bins of a fixed width from the minimum; the last edge may overshoot the maximum."""
+
     width: float
 
     def __post_init__(self) -> None:
@@ -149,7 +153,31 @@ class BinWidth:
             raise ValueError("bin width must be > 0")
 
 
-BinRule = Union[AutoBins, BinCount, BinWidth]
+@dataclass(frozen=True)
+class Quantile:
+    """n bins between type-7 quantiles; tied edges collapse, so fewer can result."""
+
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("bin count must be >= 1")
+
+
+@dataclass(frozen=True)
+class Edges:
+    """Explicit edges; a value outside them is refused."""
+
+    edges: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.edges) < 2:
+            raise ValueError("need at least 2 edges")
+        if any(not a < b for a, b in zip(self.edges, self.edges[1:])):  # NaN compares False
+            raise ValueError("edges must be strictly increasing")
+
+
+BinRule = Union[AutoBins, BinCount, BinWidth, Quantile, Edges]
 
 
 def quantile_type7(sorted_values: np.ndarray, p: float) -> float:
@@ -299,34 +327,53 @@ def summarize(c: Column) -> SummaryStats:
     )
 
 
-def histogram(c: Column, bins: BinRule = AutoBins()) -> Histogram:
-    """Equal-width histogram of a numeric column.
+def _bin_edges(name: str, values: np.ndarray, rule: BinRule) -> np.ndarray:
+    """Ascending edges of ``rule`` over the non-empty present values of
+    column ``name``. A constant column gets the single bin [v, v] under
+    every rule but Edges."""
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if isinstance(rule, Edges):
+        edges = np.array(rule.edges, dtype=float)
+        if lo < edges[0] or hi > edges[-1]:
+            bad = lo if lo < edges[0] else hi
+            raise ValueError(f"column {name!r}: value {bad} outside explicit edges")
+        return edges
+    if not isinstance(rule, (AutoBins, BinCount, BinWidth, Quantile)):
+        raise TypeError(f"unsupported bin rule: {rule!r}")
+    if lo == hi:
+        return np.array([lo, hi])
+    if isinstance(rule, AutoBins):
+        k = math.ceil(math.log2(len(values))) + 1
+        return np.linspace(lo, hi, k + 1)
+    if isinstance(rule, BinCount):
+        return np.linspace(lo, hi, rule.n + 1)
+    if isinstance(rule, BinWidth):
+        k = max(1, math.ceil((hi - lo) / rule.width))
+        return lo + rule.width * np.arange(k + 1)
+    s = np.sort(values)
+    edges = [lo]
+    for p in range(1, rule.n + 1):
+        e = quantile_type7(s, 100.0 * p / rule.n)
+        if e > edges[-1]:
+            edges.append(e)
+    return np.array(edges)
 
-    AutoBins follows Sturges; BinCount fixes the number of bins; BinWidth
-    fixes the width (the last edge may overshoot the maximum). Bins are
-    half-open [lo, hi) except the last, which is closed.
+
+def _bin_index(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Bin of each value: bins are half-open [lo, hi) except the last, which is closed."""
+    return np.clip(np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2)
+
+
+def histogram(c: Column, bins: BinRule = AutoBins()) -> Histogram:
+    """Histogram of a numeric column under any bin rule (default Sturges).
+
+    Bins are half-open [lo, hi) except the last, which is closed.
     """
     if c.kind is not Kind.NUMERIC:
         raise ValueError(f"column {c.name!r} is not numeric")
     values = numeric_values(c)
-    n = len(values)
-    if n < 1:
+    if len(values) < 1:
         raise ValueError(f"column {c.name!r}: no data to bin")
-    lo = float(np.min(values))
-    hi = float(np.max(values))
-    if lo == hi:
-        return Histogram(edges=(lo, hi), counts=(n,))
-    if isinstance(bins, AutoBins):
-        k = math.ceil(math.log2(n)) + 1 if n > 1 else 1
-        edges = np.linspace(lo, hi, k + 1)
-    elif isinstance(bins, BinCount):
-        edges = np.linspace(lo, hi, bins.n + 1)
-    elif isinstance(bins, BinWidth):
-        k = max(1, math.ceil((hi - lo) / bins.width))
-        edges = lo + bins.width * np.arange(k + 1)
-    else:
-        raise TypeError(f"unsupported bin rule: {bins!r}")
-    idx = np.searchsorted(edges, values, side="right") - 1
-    idx = np.clip(idx, 0, len(edges) - 2)
-    counts = np.bincount(idx, minlength=len(edges) - 1)
+    edges = _bin_edges(c.name, values, bins)
+    counts = np.bincount(_bin_index(edges, values), minlength=len(edges) - 1)
     return Histogram(edges=tuple(float(e) for e in edges), counts=tuple(int(x) for x in counts))

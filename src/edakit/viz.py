@@ -202,6 +202,8 @@ def _scale(lo: float, hi: float, origin: float, extent: float):
 
 def plot_histogram(h: Histogram, title: str = "") -> SvgDoc:
     """One bar per bin; widths track bin width, heights are linear in count."""
+    if not np.isfinite(h.edges).all():  # explicit Edges may end at +-inf, which has no x position
+        raise ValueError("cannot plot a histogram with an infinite edge")
     cv = _Canvas(title)
     cv.axes()
     lo, hi = h.edges[0], h.edges[-1]

@@ -28,6 +28,7 @@ from edakit.cleanse import (
     impute,
     transform,
 )
+from edakit.stats import AutoBins, BinCount, BinWidth, histogram
 from edakit.table import (
     Kind,
     Table,
@@ -156,6 +157,11 @@ class TestImpute:
     def test_constant_on_boolean(self):
         out = impute(boolean_column("b", [1, None]), Constant(0))
         assert out.values == (1, 0)
+
+    @pytest.mark.parametrize("fill", [0.5, 1.9, -1, "0.5"], ids=["half", "1.9", "-1", "text"])
+    def test_constant_on_boolean_refuses_other_than_0_or_1(self, fill):
+        with pytest.raises(ValueError, match="boolean cell must be int 0 or 1"):
+            impute(boolean_column("b", [1, None]), Constant(fill))
 
     def test_regression_textbook(self):
         t = Table(
@@ -309,3 +315,37 @@ class TestBin:
         assert out.values == (
             "[1000000,1000002.5)", "[1000002.5,1000005)", "[1000005,1000007.5)", "[1000007.5,1000010]"
         )
+
+
+def _bin_of(label, edges):
+    """Index of the histogram bin that a "[lo,hi)" label names."""
+    lo, hi = map(float, label[1:-1].split(","))
+    k = edges.index(lo)
+    assert edges[k + 1] == hi
+    assert (label[-1] == "]") == (k == len(edges) - 2)
+    return k
+
+
+BIN_RULES = [AutoBins(), BinCount(4), BinWidth(2.5), Quantile(3), Edges((-5.0, 0.0, 5.0, 10.0))]
+
+
+@pytest.mark.parametrize("rule", BIN_RULES, ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize(
+    "cells",
+    [[3.5, None, -2.0, 7.25, 0.0, None, 7.25, 1.0, 4.0, -2.0], [4.0, None, 4.0]],
+    ids=["missing_cells", "constant"],
+)
+def test_bin_column_follows_histogram(rule, cells):
+    c = col(cells)
+    h = histogram(c, rule)
+    out = bin_column(c, rule)
+    assert out.missing == c.missing
+    bins = [_bin_of(label, h.edges) for label in out.values if label is not None]
+    assert np.bincount(bins, minlength=len(h.counts)).tolist() == list(h.counts)
+
+
+def test_edges_refuse_out_of_range_value_naming_the_column():
+    c = col([0.5, None, 2.0], "Age")
+    for binned in (histogram, bin_column):
+        with pytest.raises(ValueError, match="column 'Age': value 2.0 outside explicit edges"):
+            binned(c, Edges((0.0, 1.0)))

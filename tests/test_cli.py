@@ -128,6 +128,26 @@ class TestClean:
         assert code == 0, err
         assert out.splitlines()[2] == "Male,2"
 
+    @pytest.mark.parametrize("text", ["1", "007"])
+    def test_impute_constant_keeps_text_as_typed(self, capsys, tmp_path, text):
+        src = tmp_path / "in.csv"
+        src.write_text("Code,Age\nA7,1\n,\nB3,3\n", encoding="utf-8")
+        code, out, err = run(capsys, "clean", str(src),
+                             "--impute", f"Code=constant:{text}", "--impute", "Age=constant:2.5")
+        assert code == 0, err
+        assert out.splitlines()[2] == f"{text},2.5"
+
+    def test_impute_boolean_constant_other_than_0_or_1_exit_2(self, capsys, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("b,Age\n1,1\n,2\n0,3\n", encoding="utf-8")
+        code, out, err = run(capsys, "clean", str(src), "--impute", "b=constant:0.5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: column 'b' row 1: boolean cell must be int 0 or 1\n"
+        code, out, err = run(capsys, "clean", str(src), "--impute", "b=constant:1")
+        assert code == 0, err
+        assert out.splitlines()[2] == "1,2"
+
     def test_impute_constant_missing_token_is_refused(self, capsys, tmp_path):
         src = tmp_path / "in.csv"
         src.write_text("Gender,Age\nFemale,1\n,2\n", encoding="utf-8")

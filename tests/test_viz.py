@@ -1,9 +1,10 @@
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from edakit.assoc import CorrMethod, CorrelationMatrix, correlation_matrix
-from edakit.stats import BinCount, Histogram, histogram, summarize
+from edakit.stats import BinCount, Edges, Histogram, histogram, summarize
 from edakit.table import FreqRow, FrequencyTable, Table, numeric_column, value_counts, categorical_column
 from edakit.viz import (
     diverging_color,
@@ -36,6 +37,11 @@ class TestHistogramPlot:
         h = Histogram(edges=(1.0, 1.0), counts=(5,))
         doc = plot_histogram(h)
         assert len(elements_with_class(doc, "bar")) == 1
+
+    def test_infinite_edge_refused(self):
+        h = histogram(numeric_column("Age", [20, 35, 70]), Edges((0.0, 30.0, 60.0, math.inf)))
+        with pytest.raises(ValueError, match="infinite edge"):
+            plot_histogram(h)
 
     def test_equal_counts_equal_heights(self):
         h = Histogram(edges=(0.0, 1.0, 2.0, 3.0), counts=(4, 4, 4))
