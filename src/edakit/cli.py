@@ -63,14 +63,11 @@ def _numeric_matrix(t: table.Table, columns: Optional[Sequence[str]]) -> tuple[n
             f"categorical columns not usable here: {categorical}; "
             "encode them first (eda clean --encode) or pass --columns"
         )
-    use = [c for c in t.columns if c.kind in (table.Kind.NUMERIC, table.Kind.BOOLEAN)]
-    if not use:
-        raise ValueError("no numeric columns available")
-    for c in use:
+    for c in t.columns:
         if c.null_count:
             raise ValueError(f"column {c.name!r} has {c.null_count} missing cells; impute first")
-    matrix = np.column_stack([table.numeric_values(c) for c in use])
-    return matrix, [c.name for c in use]
+    matrix = np.column_stack([table.numeric_values(c) for c in t.columns])
+    return matrix, [c.name for c in t.columns]
 
 
 def cmd_describe(args) -> int:
@@ -280,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("describe", help="schema and null counts, or one column's summary stats")
     p.add_argument("csv")
-    p.add_argument("--column")
-    p.add_argument("--outliers", metavar="COL", help="emit an outlier report for this column")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--column")
+    one.add_argument("--outliers", metavar="COL", help="emit an outlier report for this column")
     p.add_argument("--method", choices=["iqr", "zscore"], default="iqr")
     p.add_argument("--k", type=float, default=1.5, help="IQR fence multiplier")
     p.add_argument("--threshold", type=float, default=3.0, help="z-score threshold")

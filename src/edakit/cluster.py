@@ -3,13 +3,14 @@ clustering, DBSCAN, and Gaussian mixtures fit by EM.
 
 Every stochastic fit takes an integer seed feeding the package's portable
 SplitMix64 generator, so identical seed and input give bit-identical
-results. Distances are Euclidean throughout.
+results, whatever the array's memory order: every fit reads its data in C
+order. Distances are Euclidean throughout, and every squared distance is
+summed by one helper, ``_sq``.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -42,20 +43,21 @@ class KMeansResult:
         }
 
 
-def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # (n, k) squared Euclidean distances
-    return np.sum((x[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+def _sq(a: np.ndarray, b) -> np.ndarray:
+    """Squared Euclidean distances between a and b along their last axis,
+    broadcast over the others."""
+    return np.sum(np.subtract(a, b) ** 2, axis=-1)
 
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[rng.randint(n)]
-    d2 = np.sum((x - centroids[0]) ** 2, axis=1)
+    d2 = _sq(x, centroids[0])
     for j in range(1, k):
         idx = rng.choice_weighted(d2.tolist())
         centroids[j] = x[idx]
-        d2 = np.minimum(d2, np.sum((x - centroids[j]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sq(x, centroids[j]))
     return centroids
 
 
@@ -89,7 +91,7 @@ def kmeans(
     labels = np.full(n, -1, dtype=int)
     iterations = 0
     for _ in range(max_iter):
-        d2 = _sq_distances(x, centroids)
+        d2 = _sq(x[:, None], centroids)
         new_labels = np.argmin(d2, axis=1)
         history.append(float(np.sum(d2[np.arange(n), new_labels])))
         if np.array_equal(new_labels, labels):
@@ -108,10 +110,10 @@ def kmeans(
                 far = int(np.argmax(point_dist))
                 new_centroids[j] = x[far]
                 point_dist[far] = -1.0
-        shift = float(np.max(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1))))
+        shift = float(np.max(np.sqrt(_sq(new_centroids, centroids))))
         centroids = new_centroids
         if shift < tol:
-            d2 = _sq_distances(x, centroids)
+            d2 = _sq(x[:, None], centroids)
             labels = np.argmin(d2, axis=1)
             history.append(float(np.sum(d2[np.arange(n), labels])))
             break
@@ -194,7 +196,7 @@ def agglomerative(data: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendr
     rows = max(1, _CHUNK // max(n * x.shape[1], 1))
     for lo in range(0, n, rows):
         with np.errstate(over="ignore"):
-            block = _sq_distances(x[lo:lo + rows], x)
+            block = _sq(x[lo:lo + rows, None], x)
         if not np.all(np.isfinite(block)):
             raise ValueError("pairwise squared distances overflow float64; rescale the data")
         dist[lo:lo + rows] = block
@@ -407,21 +409,16 @@ class _Grid:
     """The rows of x bucketed into cubic cells, for DBSCAN's pair searches.
 
     Points are held at positions sorted by cell, so a cell is a run of
-    positions. Every "within eps" decision is ``sq(a, b) <= eps2``, the
-    arithmetic of ``np.sum((x - x[i]) ** 2, axis=1)`` applied to single
-    pairs. Pair temporaries hold at most ``_PAIRS`` pairs.
+    positions. Every "within eps" decision is ``_sq(a, b) <= eps2``, the
+    arithmetic of ``_sq(x, x[i])`` applied to single pairs, whatever the
+    array's memory order. Pair temporaries hold at most ``_PAIRS`` pairs.
     """
 
     def __init__(self, x: np.ndarray, eps: float):
         n, d = x.shape
         self.eps2 = eps * eps
-        # (x - x[i]) takes the memory order of x; in Fortran order numpy sums
-        # a row column by column, in C order pairwise along the row, which
-        # differs from d = 9 on
-        probe = np.empty_like(x)
-        self.by_column = probe.flags.f_contiguous and not probe.flags.c_contiguous
 
-        # a pair with sq <= eps2 is closer than reach * (1 + 2**-50) in each
+        # a pair with _sq <= eps2 is closer than reach * (1 + 2**-50) in each
         # coordinate (the floor 2**-500 covers squares that underflow); cells
         # of side reach / sqrt(d), widened until |x / side| <= 2**40, so that
         # x / side is off by at most 2**-13 cells and such a pair lies at
@@ -452,13 +449,7 @@ class _Grid:
         # are within eps, so is every pair in the cell
         self.lo = np.minimum.reduceat(self.x, self.first, axis=0)
         self.hi = np.maximum.reduceat(self.x, self.first, axis=0)
-        self.tight = self.sq(self.hi, self.lo) <= self.eps2
-
-    def sq(self, a: np.ndarray, b) -> np.ndarray:
-        squares = np.subtract(a, b) ** 2
-        if self.by_column and squares.shape[1]:
-            return functools.reduce(np.add, squares.T)
-        return np.sum(squares, axis=1)
+        self.tight = _sq(self.hi, self.lo) <= self.eps2
 
     def cores_first(self, core: np.ndarray) -> np.ndarray:
         """Reorder each cell's positions to put its cores (flagged by
@@ -528,7 +519,7 @@ class _Grid:
                 rp, rc = p[:batch], c[:batch]
                 for k2, q in _ranges(self.first[rc], dst_size[rc], _PAIRS):
                     pp = rp[k2]
-                    yield pp, q, self.sq(self.x[pp], self.x[q])
+                    yield pp, q, _sq(self.x[pp], self.x[q])
                 p, c = p[batch:], c[batch:]
 
     def near(self, p: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -540,7 +531,7 @@ class _Grid:
         box = self.size[c] > 1
         xp, c = self.x[p[box]], c[box]
         gap = np.maximum(np.maximum(self.lo[c] - xp, xp - self.hi[c]), 0.0)
-        keep[box] = self.sq(gap, 0.0) <= self.eps2
+        keep[box] = _sq(gap, 0.0) <= self.eps2
         return keep
 
 

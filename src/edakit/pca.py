@@ -108,7 +108,9 @@ class PcaModel:
 
 
 def _validate_matrix(data: np.ndarray) -> np.ndarray:
-    x = np.asarray(data, dtype=float)
+    # every fit reads C order: numpy sums pairwise only along the axis that
+    # is contiguous in memory, so the layout would change the rounding
+    x = np.ascontiguousarray(data, dtype=float)
     if x.ndim != 2:
         raise ValueError("data must be a 2-D matrix")
     if not np.all(np.isfinite(x)):

@@ -68,6 +68,14 @@ class TestDescribe:
         assert payload["bounds"] == {"lower": -1.0, "upper": 7.0}
         assert payload["outlier_row_indices"] == [4]
 
+    def test_column_with_outliers_is_a_usage_error(self, capsys, fixture_csv):
+        # one report per call: --column was once ignored beside --outliers
+        with pytest.raises(SystemExit) as exit_info:
+            main(["describe", str(fixture_csv), "--column", "Age", "--outliers", "Balance"])
+        captured = capsys.readouterr()
+        assert (exit_info.value.code, captured.out) == (2, "")
+        assert "eda describe: error: argument --outliers: not allowed with argument --column" in captured.err
+
 
 class TestClean:
     def test_impute_zeroes_nulls(self, capsys, tmp_path):
@@ -262,6 +270,16 @@ class TestCluster:
         assert (code, out) == (2, "")
         assert err == "error: unknown columns: ['age', 'balance']; did you mean 'Age', 'Balance'?\n"
 
+    @pytest.mark.parametrize("options, message", [
+        (["--algo", "kmeans"], "kmeans needs --k"),
+        (["--algo", "gmm"], "gmm needs --k"),
+        (["--algo", "dbscan", "--min-pts", "4"], "dbscan needs --eps and --min-pts"),
+        (["--algo", "dbscan", "--eps", "0.5"], "dbscan needs --eps and --min-pts"),
+    ])
+    def test_missing_algorithm_parameter_exit_2(self, capsys, fixture_csv, options, message):
+        code, out, err = run(capsys, "cluster", str(fixture_csv), *options, "--columns", "CreditScore,Age")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_hier_labels(self, capsys, tmp_path):
         src = tmp_path / "pts.csv"
         src.write_text("x,y\n0,0\n0,1\n10,0\n10,1\n", encoding="utf-8")
@@ -296,6 +314,15 @@ class TestTimeseriesCommand:
         code, out, err = run(capsys, "timeseries", str(fixture_csv), "--column", "age", "--op", "acf")
         assert (code, out) == (2, "")
         assert err == "error: no column named 'age'; did you mean 'Age'?\n"
+
+    def test_categorical_column_exit_2(self, capsys, fixture_csv):
+        code, out, err = run(capsys, "timeseries", str(fixture_csv), "--column", "Geography", "--op", "acf")
+        assert (code, out, err) == (2, "", "error: column 'Geography' is not numeric\n")
+
+    def test_missing_cells_exit_2(self, capsys):
+        blanks = ROOT / "data" / "churn_fixture_blanks.csv"
+        code, out, err = run(capsys, "timeseries", str(blanks), "--column", "Age", "--op", "acf")
+        assert (code, out, err) == (2, "", "error: column 'Age' has missing cells; impute first\n")
 
     def test_decompose_needs_period(self, capsys, fixture_csv):
         code, _, err = run(capsys, "timeseries", str(fixture_csv), "--column",
@@ -418,7 +445,7 @@ HEADER = ["RowNumber", "CustomerId", "Surname", "CreditScore", "Geography", "Gen
     (["churn-report", "--out", "{tmp}"], HEADER[3:]),
     (["describe"], HEADER),
     (["describe", "--column", "Age"], ["Age"]),
-    (["describe", "--outliers", "Balance", "--column", "Age"], ["Balance"]),
+    (["describe", "--outliers", "Balance"], ["Balance"]),
     (["corr", "--columns", "Tenure,CreditScore"], ["CreditScore", "Tenure"]),
     (["cluster", "--algo", "kmeans", "--k", "2", "--columns", "Age,CreditScore"], ["CreditScore", "Age"]),
     (["pca", "--components", "1", "--columns", "Age,Balance"], ["Age", "Balance"]),

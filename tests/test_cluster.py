@@ -15,6 +15,7 @@ from edakit.cluster import (
     gmm_predict,
     kmeans,
 )
+from edakit.pca import fit_pca, transform_pca
 
 from _oracles import o_agglomerative, o_agglomerative_scan, o_dbscan_lists
 
@@ -74,6 +75,15 @@ class TestKMeans:
             kmeans(data, 3, seed=1)
         with pytest.raises(ValueError, match=r"^k=3 exceeds distinct points \(2\)$"):
             kmeans(np.array([[0.0], [-0.0], [1.0]]), 3, seed=1)
+
+    def test_emptied_cluster_is_reseeded(self):
+        # an assignment step of this seeded run leaves a cluster empty
+        data = np.array([[4, 5], [2, 1], [3, 1], [2, 4], [1, 4], [2, 1]], dtype=float)
+        r = kmeans(data, 3, seed=0)
+        labels = np.array(r.labels)
+        assert sorted(set(r.labels)) == [0, 1, 2]
+        for j in range(3):
+            assert r.centroids[j].tobytes() == data[labels == j].mean(axis=0).tobytes()
 
     def test_inertia_history_non_increasing(self):
         for seed in range(10):
@@ -273,7 +283,8 @@ class TestDbscanMatchesLists:
     def test_memory_order_of_wide_rows(self):
         # numpy sums a row of a C-ordered array pairwise and one of a
         # Fortran-ordered array column by column, which can round apart from
-        # d = 9 on; eps^2 is put between the two sums of one pair
+        # d = 9 on; eps^2 is put between the two sums of one pair, and both
+        # orders must decide as the C-ordered sum does
         rng = np.random.default_rng(3)
         while True:
             pair = rng.normal(0, 1, (2, 9))
@@ -284,12 +295,10 @@ class TestDbscanMatchesLists:
                 eps = math.nextafter(eps, math.inf)
             if eps * eps < hi:
                 break
-        by_order = {}
+        c_order = np.ascontiguousarray(pair)
+        expected = o_dbscan_lists(c_order, eps, 2)
         for order in "CF":
-            data = np.asarray(pair, order=order)
-            self.check(data, eps, 2)
-            by_order[order] = dbscan(data, eps, 2).labels
-        assert by_order["C"] != by_order["F"]
+            assert dbscan(np.asarray(pair, order=order), eps, 2).labels == expected
 
     def test_balance_age_shape(self):
         self.check(balance_age(5000), 500.0, 10)
@@ -429,3 +438,40 @@ class TestGmm:
         m = gmm(data, 2, seed=8)
         labels, resp = gmm_predict(m, data)
         assert labels == tuple(int(v) for v in np.argmax(resp, axis=1))
+
+
+class TestMemoryOrder:
+    """Every fit gives the same bits for C- and Fortran-ordered copies of
+    one matrix: numpy sums pairwise only along the contiguous axis, so a
+    fit that followed the caller's layout would round differently."""
+
+    @staticmethod
+    def fits(data, pca_model, gmm_model):
+        d = data.shape[1]
+        km = kmeans(data, 3, seed=4)
+        model = gmm(data, 3, seed=4)
+        labels, resp = gmm_predict(gmm_model, data)
+        return {
+            "kmeans": (km.to_dict(), km.inertia_history),
+            "agglomerative": agglomerative(data).to_dict(),
+            "dbscan": dbscan(data, 1.5 * math.sqrt(d), 4).to_dict(),
+            "gmm": (model.to_dict(), model.log_likelihood_history),
+            "gmm_predict": (labels, resp.tobytes()),
+            "fit_pca": fit_pca(data, min(d, 3)).to_dict(),
+            "fit_pca standardized": fit_pca(data, min(d, 3), standardize=True).to_dict(),
+            "transform_pca": transform_pca(pca_model, data).tobytes(),
+        }
+
+    @pytest.mark.parametrize("d", [2, 3, 9])
+    def test_c_and_fortran_copies_fit_alike(self, d):
+        rng = np.random.default_rng(d)
+        centers = rng.normal(0, 4, (3, d))
+        data = blobs(d, centers, n_per=100, spread=1.0) * np.geomspace(1, 1e4, d)
+        c_order, f_order = np.ascontiguousarray(data), np.asfortranarray(data)
+        assert f_order.flags.f_contiguous and not f_order.flags.c_contiguous
+        pca_model = fit_pca(c_order, min(d, 3))
+        gmm_model = gmm(c_order, 3, seed=4)
+        want = self.fits(c_order, pca_model, gmm_model)
+        got = self.fits(f_order, pca_model, gmm_model)
+        # repr keeps every bit of a float and tells -0.0 from 0.0
+        assert [name for name in want if repr(got[name]) != repr(want[name])] == []

@@ -185,6 +185,12 @@ class TestBlockReader:
         assert t.column("col0") == numeric_column("col0", [1, 2, 3])
         assert t.column("col1") == categorical_column("col1", ["a", "b", "a"])
 
+    def test_stale_typer_ignores_later_blocks(self, monkeypatch, tmp_path):
+        # numbers in block 1 and text in block 2 leave the typer stale, so it
+        # skips block 3 and the column is typed again from its whole text
+        t = self.read(monkeypatch, tmp_path, "x\n1\n2\n3\nabc\n4\n5\n")
+        assert t.column("x") == categorical_column("x", ["1", "2", "3", "abc", "4", "5"])
+
     def test_ragged_row_in_later_block_names_its_line(self, monkeypatch, tmp_path):
         # the quoted field spans lines 2-3, so the fourth row is on line 6
         monkeypatch.setattr(table, "_READ_ROWS", 2)
