@@ -2,10 +2,10 @@
 
 Subcommands: describe, clean, corr, cluster, pca, timeseries, plot,
 churn-report. Machine-readable JSON goes to stdout, diagnostics to stderr.
-Exit codes: 0 success, 2 usage/input error, 3 findings failure
-(churn-report only). Seeded subcommands default to DEFAULT_SEED, overridable
-with the EDA_SEED environment variable and the --seed flag; identical seed
-and input give byte-identical output.
+Exit codes: 0 success, 1 stdout closed by its reader (``eda ... | head``), 2
+usage/input error, 3 findings failure (churn-report only). Seeded subcommands
+default to DEFAULT_SEED, overridable with the EDA_SEED environment variable
+and the --seed flag; identical seed and input give byte-identical output.
 
 ``eda`` runs numpy's BLAS on the calling thread: importing this module sets
 OPENBLAS_NUM_THREADS to 1 unless the environment already sets it. It imports
@@ -70,13 +70,48 @@ def _numeric_matrix(t: table.Table, columns: Optional[Sequence[str]]) -> tuple[n
     return matrix, [c.name for c in t.columns]
 
 
+# Each mode of describe, cluster, timeseries and plot -> the options it reads and
+# their defaults, _NEEDED where it cannot run without one. These options default
+# to argparse.SUPPRESS, so a namespace holds only the given ones. describe's modes
+# are a schema listing, one --column's summary, and an outlier report by --method.
+_NEEDED = object()
+_DESCRIBE = {"schema": {}, "--column": {}, "iqr": {"method": "iqr", "k": 1.5},
+             "zscore": {"method": "zscore", "threshold": 3.0}}
+_CLUSTER = {"kmeans": {"k": _NEEDED}, "hier": {"linkage": "average", "k": None},
+            "dbscan": {"eps": _NEEDED, "min_pts": _NEEDED}, "gmm": {"k": _NEEDED}}
+_TIMESERIES = {"ma": {"window": 3}, "smooth": {"alpha": 0.5}, "diff": {"lag": 1},
+               "acf": {"max_lag": 10}, "pacf": {"max_lag": 10}, "decompose": {"period": _NEEDED},
+               "stationarity": {"segments": 4, "rel_tol": 0.25}}
+_PLOT = {"hist": {"column": _NEEDED, "bins": None}, "box": {"column": _NEEDED},
+         "bar": {"column": _NEEDED}, "scatter": {"x": _NEEDED, "y": _NEEDED},
+         "heatmap": {"method": "pearson"}}
+
+
+def _flags(dests, word: str) -> str:
+    return f" {word} ".join("--" + d.replace("_", "-") for d in dests)
+
+
+def _mode_options(args, modes: dict[str, dict], mode: str) -> None:
+    """Refuse an option given to ``mode`` that only other ``modes`` read, and
+    name every needed option when one is missing; then fill in the mode's
+    defaults."""
+    given, own = vars(args), modes[mode]
+    foreign = [d for d in given if d not in own and any(d in m for m in modes.values())]
+    if foreign:
+        raise ValueError(f"{mode} does not read {_flags(foreign, 'or')}")
+    needed = [d for d, default in own.items() if default is _NEEDED]
+    if any(d not in given for d in needed):
+        raise ValueError(f"{mode} needs {_flags(needed, 'and')}")
+    for dest, default in own.items():
+        given.setdefault(dest, default)
+
+
 def cmd_describe(args) -> int:
-    named = args.outliers or args.column
-    t = _load(args.csv, [named] if named else None)
+    mode = getattr(args, "method", "iqr") if args.outliers else "--column" if args.column else "schema"
+    _mode_options(args, _DESCRIBE, mode)
+    t = _load(args.csv, None if mode == "schema" else [args.outliers or args.column])
     if args.outliers:
-        method = (
-            cleanse.Iqr(args.k) if args.method == "iqr" else cleanse.ZScore(args.threshold)
-        )
+        method = cleanse.Iqr(args.k) if mode == "iqr" else cleanse.ZScore(args.threshold)
         rep = cleanse.detect_outliers(t.column(args.outliers), method)
         _print_json(rep.to_dict())
     elif args.column:
@@ -147,11 +182,10 @@ def cmd_corr(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    _mode_options(args, _CLUSTER, args.algo)
     columns = _split(args.columns)
     data, names = _numeric_matrix(_load(args.csv, columns), columns)
     if args.algo == "kmeans":
-        if args.k is None:
-            raise ValueError("kmeans needs --k")
         result = cluster.kmeans(data, args.k, args.seed)
         payload = {"algo": "kmeans", "columns": names, **result.to_dict()}
     elif args.algo == "hier":
@@ -160,18 +194,12 @@ def cmd_cluster(args) -> int:
         if args.k is not None:
             payload["labels"] = list(cluster.cut(dend, args.k))
     elif args.algo == "dbscan":
-        if args.eps is None or args.min_pts is None:
-            raise ValueError("dbscan needs --eps and --min-pts")
         result = cluster.dbscan(data, args.eps, args.min_pts)
         payload = {"algo": "dbscan", "columns": names, **result.to_dict()}
-    elif args.algo == "gmm":
-        if args.k is None:
-            raise ValueError("gmm needs --k")
+    else:
         model = cluster.gmm(data, args.k, args.seed)
         labels, _ = cluster.gmm_predict(model, data)
         payload = {"algo": "gmm", "columns": names, "labels": list(labels), **model.to_dict()}
-    else:  # pragma: no cover - argparse rejects other values
-        raise ValueError(f"unknown algorithm {args.algo!r}")
     _print_json(payload)
     return 0
 
@@ -185,6 +213,7 @@ def cmd_pca(args) -> int:
 
 
 def cmd_timeseries(args) -> int:
+    _mode_options(args, _TIMESERIES, args.op)
     t = _load(args.csv, [args.column])
     c = t.column(args.column)
     if c.kind is not table.Kind.NUMERIC:
@@ -204,54 +233,40 @@ def cmd_timeseries(args) -> int:
     elif op == "pacf":
         out = {"op": op, "values": list(timeseries.pacf(s, args.max_lag))}
     elif op == "decompose":
-        if args.period is None:
-            raise ValueError("decompose needs --period")
         out = {"op": op, **timeseries.decompose_additive(s, args.period).to_dict()}
-    elif op == "stationarity":
-        out = {
-            "op": op,
-            **timeseries.stationarity_check(s, args.segments, args.rel_tol).to_dict(),
-        }
-    else:  # pragma: no cover
-        raise ValueError(f"unknown op {op!r}")
+    else:
+        out = {"op": op, **timeseries.stationarity_check(s, args.segments, args.rel_tol).to_dict()}
     _print_json(out)
     return 0
 
 
 def cmd_plot(args) -> int:
     kind = args.kind
-    t = _load(args.csv, None if kind == "heatmap" else [args.column, args.x, args.y])
+    _mode_options(args, _PLOT, kind)
+    t = _load(args.csv, None if kind == "heatmap" else [args.x, args.y] if kind == "scatter" else [args.column])
     if kind == "hist":
-        c = t.column(_require(args.column, "--column"))
+        c = t.column(args.column)
         bins = stats.BinCount(args.bins) if args.bins is not None else stats.AutoBins()
         doc = viz.plot_histogram(stats.histogram(c, bins), args.title or c.name)
     elif kind == "box":
-        c = t.column(_require(args.column, "--column"))
+        c = t.column(args.column)
         summary = stats.summarize(c)
         rep = cleanse.detect_outliers(c, cleanse.Iqr())
         beyond = table.numeric_with_mask(c)[0][list(rep.outlier_row_indices)].tolist()
         doc = viz.plot_box(summary, points_beyond=beyond, title=args.title or c.name)
     elif kind == "bar":
-        c = t.column(_require(args.column, "--column"))
+        c = t.column(args.column)
         doc = viz.plot_bar(table.value_counts(c), args.title or c.name)
     elif kind == "scatter":
-        cx = t.column(_require(args.x, "--x"))
-        cy = t.column(_require(args.y, "--y"))
+        cx = t.column(args.x)
+        cy = t.column(args.y)
         doc = viz.plot_scatter(cx, cy, args.title or f"{cx.name} vs {cy.name}")
-    elif kind == "heatmap":
+    else:
         matrix = assoc.correlation_matrix(t, assoc.CorrMethod(args.method))
         doc = viz.plot_heatmap(matrix, args.title or f"{args.method} correlation")
-    else:  # pragma: no cover
-        raise ValueError(f"unknown plot kind {kind!r}")
     doc.write(args.out)
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
-
-
-def _require(value, flag: str):
-    if value is None:
-        raise ValueError(f"this plot kind needs {flag}")
-    return value
 
 
 # --evaluate choice -> churn_pipeline's evaluate_findings
@@ -275,14 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="eda", description="exploratory data analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("describe", help="schema and null counts, or one column's summary stats")
+    p = sub.add_parser("describe", help="schema and null counts, or one column's summary stats",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("csv")
     one = p.add_mutually_exclusive_group()
-    one.add_argument("--column")
-    one.add_argument("--outliers", metavar="COL", help="emit an outlier report for this column")
-    p.add_argument("--method", choices=["iqr", "zscore"], default="iqr")
-    p.add_argument("--k", type=float, default=1.5, help="IQR fence multiplier")
-    p.add_argument("--threshold", type=float, default=3.0, help="z-score threshold")
+    one.add_argument("--column", default=None)
+    one.add_argument("--outliers", metavar="COL", default=None, help="emit an outlier report for this column")
+    p.add_argument("--method", choices=["iqr", "zscore"], help="outlier method, default iqr")
+    p.add_argument("--k", type=float, help="IQR fence multiplier, default 1.5")
+    p.add_argument("--threshold", type=float, help="z-score threshold, default 3.0")
     p.set_defaults(fn=cmd_describe)
 
     p = sub.add_parser("clean", help="impute, clip outliers, encode; emits cleaned CSV")
@@ -305,16 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heatmap", metavar="OUT_SVG")
     p.set_defaults(fn=cmd_corr)
 
-    p = sub.add_parser("cluster", help="kmeans | hier | dbscan | gmm")
+    p = sub.add_parser("cluster", help=" | ".join(_CLUSTER), argument_default=argparse.SUPPRESS)
     p.add_argument("csv")
-    p.add_argument("--algo", choices=["kmeans", "hier", "dbscan", "gmm"], required=True)
+    p.add_argument("--algo", choices=list(_CLUSTER), required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--eps", type=float)
     p.add_argument("--min-pts", type=int, dest="min_pts")
-    p.add_argument("--linkage", choices=[m.value for m in cluster.Linkage], default="average")
+    p.add_argument("--linkage", choices=[m.value for m in cluster.Linkage])
     # argparse applies type=int to a string default only for the subcommand that runs
     p.add_argument("--seed", type=int, default=os.environ.get("EDA_SEED", str(DEFAULT_SEED)))
-    p.add_argument("--columns", help="comma-separated column subset")
+    p.add_argument("--columns", default=None, help="comma-separated column subset")
     p.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser("pca", help="principal component analysis")
@@ -324,30 +340,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--columns", help="comma-separated column subset")
     p.set_defaults(fn=cmd_pca)
 
-    p = sub.add_parser("timeseries", help="ma | smooth | diff | acf | pacf | decompose | stationarity")
+    p = sub.add_parser("timeseries", help=" | ".join(_TIMESERIES), argument_default=argparse.SUPPRESS)
     p.add_argument("csv")
     p.add_argument("--column", required=True)
-    p.add_argument("--op", required=True,
-                   choices=["ma", "smooth", "diff", "acf", "pacf", "decompose", "stationarity"])
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--lag", type=int, default=1)
-    p.add_argument("--max-lag", type=int, default=10, dest="max_lag")
+    p.add_argument("--op", required=True, choices=list(_TIMESERIES))
+    p.add_argument("--window", type=int)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--lag", type=int)
+    p.add_argument("--max-lag", type=int, dest="max_lag")
     p.add_argument("--period", type=int)
-    p.add_argument("--segments", type=int, default=4)
-    p.add_argument("--rel-tol", type=float, default=0.25, dest="rel_tol")
+    p.add_argument("--segments", type=int)
+    p.add_argument("--rel-tol", type=float, dest="rel_tol")
     p.set_defaults(fn=cmd_timeseries)
 
-    p = sub.add_parser("plot", help="hist | box | bar | scatter | heatmap to an SVG file")
+    p = sub.add_parser("plot", help=" | ".join(_PLOT) + " to an SVG file", argument_default=argparse.SUPPRESS)
     p.add_argument("csv")
-    p.add_argument("--kind", choices=["hist", "box", "bar", "scatter", "heatmap"], required=True)
+    p.add_argument("--kind", choices=list(_PLOT), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--column")
     p.add_argument("--x")
     p.add_argument("--y")
     p.add_argument("--bins", type=int)
-    p.add_argument("--method", choices=[m.value for m in assoc.CorrMethod], default="pearson")
-    p.add_argument("--title")
+    p.add_argument("--method", choices=[m.value for m in assoc.CorrMethod])
+    p.add_argument("--title", default=None)
     p.set_defaults(fn=cmd_plot)
 
     p = sub.add_parser("churn-report", help="run the churn case-study pipeline")
@@ -364,7 +379,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a reader that closed stdout early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -220,43 +220,18 @@ def percentile(c: Column, p: float) -> float:
 
 
 def skewness(c: Column, mode: SkewMode = SkewMode.PEARSON_SECOND) -> float:
-    """Skewness of a numeric column.
+    """Skewness of a numeric column, read from ``summarize``.
 
     PEARSON_SECOND is Pearson's second coefficient 3*(mean - median)/std,
     the package default; MOMENT is the adjusted Fisher-Pearson statistic.
     Both require positive standard deviation.
     """
-    values = numeric_values(c)
-    n = len(values)
-    min_n = 2 if mode is SkewMode.PEARSON_SECOND else 3
-    if n < min_n:
+    if len(numeric_values(c)) < (2 if mode is SkewMode.PEARSON_SECOND else 3):
         raise ValueError(f"column {c.name!r}: insufficient data for skewness")
-    std = math.sqrt(sample_variance(values))
-    if std == 0:
+    s = summarize(c)
+    if s.std == 0:
         raise ValueError(f"column {c.name!r}: undefined skewness (zero std)")
-    if mode is SkewMode.PEARSON_SECOND:
-        mean = float(np.mean(values))
-        median = quantile_type7(np.sort(values), 50)
-        return 3.0 * (mean - median) / std
-    return _moment_skew(values)
-
-
-def _moment_skew(values: np.ndarray) -> float:
-    n = len(values)
-    d = values - np.mean(values)
-    m2 = float(np.mean(d**2))
-    m3 = float(np.mean(d**3))
-    g1 = m3 / m2**1.5
-    return g1 * math.sqrt(n * (n - 1)) / (n - 2)
-
-
-def _excess_kurtosis(values: np.ndarray) -> float:
-    n = len(values)
-    d = values - np.mean(values)
-    m2 = float(np.mean(d**2))
-    m4 = float(np.mean(d**4))
-    g2 = m4 / m2**2 - 3.0
-    return ((n + 1) * g2 + 6.0) * (n - 1) / ((n - 2) * (n - 3))
+    return s.skew_pearson if mode is SkewMode.PEARSON_SECOND else s.skew_moment
 
 
 def classify_kurtosis(excess: float) -> KurtosisClass:
@@ -268,21 +243,21 @@ def classify_kurtosis(excess: float) -> KurtosisClass:
 
 
 def kurtosis(c: Column) -> tuple[float, KurtosisClass]:
-    """Sample-adjusted excess kurtosis (G2) and its tail class."""
-    values = numeric_values(c)
-    if len(values) < 4:
+    """Sample-adjusted excess kurtosis (G2) and its tail class, read from ``summarize``."""
+    if len(numeric_values(c)) < 4:
         raise ValueError(f"column {c.name!r}: kurtosis needs at least 4 values")
-    if sample_variance(values) == 0:
+    s = summarize(c)
+    if s.variance == 0:
         raise ValueError(f"column {c.name!r}: undefined kurtosis (zero std)")
-    excess = _excess_kurtosis(values)
-    return excess, classify_kurtosis(excess)
+    return s.kurtosis_excess, s.kurtosis_class
 
 
 def summarize(c: Column) -> SummaryStats:
     """All summary statistics of a numeric column in one pass.
 
     Requires at least 2 non-missing values. Constant columns are legal:
-    variance 0 and both skewness figures 0.
+    variance 0 and both skewness figures 0. The moment skewness and the
+    kurtosis are the adjusted Fisher-Pearson G1 and G2 (Joanes & Gill 1998).
     """
     values = numeric_values(c)
     n = len(values)
@@ -295,17 +270,20 @@ def summarize(c: Column) -> SummaryStats:
     std = math.sqrt(variance)
     q1 = quantile_type7(s, 25)
     q3 = quantile_type7(s, 75)
+    skew_m = excess = float("nan")
+    k_class: Optional[KurtosisClass] = None
     if std == 0:
         skew_p = skew_m = 0.0
     else:
         skew_p = 3.0 * (mean - median) / std
-        skew_m = _moment_skew(values) if n >= 3 else float("nan")
-    if n >= 4 and std > 0:
-        excess = _excess_kurtosis(values)
-        k_class: Optional[KurtosisClass] = classify_kurtosis(excess)
-    else:
-        excess = float("nan")
-        k_class = None
+        d = values - mean
+        m2 = float(np.mean(d**2))
+        if n >= 3:
+            skew_m = float(np.mean(d**3)) / m2**1.5 * math.sqrt(n * (n - 1)) / (n - 2)
+        if n >= 4:
+            g2 = float(np.mean(d**4)) / m2**2 - 3.0
+            excess = ((n + 1) * g2 + 6.0) * (n - 1) / ((n - 2) * (n - 3))
+            k_class = classify_kurtosis(excess)
     return SummaryStats(
         count=n,
         n_missing=c.null_count,

@@ -485,3 +485,58 @@ def test_start_up_runs_blas_on_one_thread():
     env["PYTHONPATH"] = str(ROOT / "src")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "1 1\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["describe", "--column", "Age", "--method", "zscore", "--threshold", "9"],
+     "--column does not read --method or --threshold"),
+    (["describe", "--k", "2"], "schema does not read --k"),
+    (["describe", "--outliers", "Age", "--threshold", "2"], "iqr does not read --threshold"),
+    (["describe", "--outliers", "Age", "--k", "2", "--method", "zscore"], "zscore does not read --k"),
+    (["cluster", "--algo", "kmeans", "--k", "2", "--eps", "3", "--linkage", "single"],
+     "kmeans does not read --eps or --linkage"),
+    (["cluster", "--algo", "gmm", "--k", "2", "--min-pts", "3"], "gmm does not read --min-pts"),
+    (["cluster", "--algo", "dbscan", "--eps", "1", "--min-pts", "3", "--k", "2"], "dbscan does not read --k"),
+    (["cluster", "--algo", "hier", "--eps", "1"], "hier does not read --eps"),
+    (["timeseries", "--column", "Age", "--op", "acf", "--window", "3"], "acf does not read --window"),
+    (["timeseries", "--column", "Age", "--op", "ma", "--max-lag", "3", "--period", "12"],
+     "ma does not read --max-lag or --period"),
+    (["timeseries", "--column", "Age", "--op", "stationarity", "--alpha", "0.3"],
+     "stationarity does not read --alpha"),
+    (["timeseries", "--column", "Age", "--op", "decompose"], "decompose needs --period"),
+    (["plot", "--kind", "heatmap", "--column", "Age"], "heatmap does not read --column"),
+    (["plot", "--kind", "box", "--column", "Age", "--bins", "5"], "box does not read --bins"),
+    (["plot", "--kind", "hist", "--column", "Age", "--method", "kendall"], "hist does not read --method"),
+    (["plot", "--kind", "scatter", "--x", "Age"], "scatter needs --x and --y"),
+    (["plot", "--kind", "bar"], "bar needs --column"),
+])
+def test_mode_refuses_options_it_does_not_read(capsys, fixture_csv, tmp_path, argv, message):
+    extra = {"cluster": ["--columns", "Age,CreditScore"], "plot": ["--out", str(tmp_path / "p.svg")]}
+    code, out, err = run(capsys, argv[0], str(fixture_csv), *argv[1:], *extra.get(argv[0], []))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "p.svg").exists()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_1_quietly(tmp_path, unbuffered):
+    # the output is several pipe buffers long, so writing it fails once the reader is gone
+    src = tmp_path / "long.csv"
+    src.write_text("v\n" + "".join(f"{i % 97}.5\n" for i in range(20_000)), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": unbuffered}
+    argv = [sys.executable, "-m", "edakit.cli", "timeseries", str(src), "--column", "v", "--op", "ma", "--window", "1"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(16)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_an_error(fixture_csv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": "1"}
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "edakit.cli", "describe", str(fixture_csv), "--column", "Age"],
+                              env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

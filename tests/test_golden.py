@@ -6,7 +6,9 @@ Each case runs one ``eda`` command in-process against
 writes with ``tests/golden/<case>/``, byte for byte. Refactors must leave these
 bytes alone. The stdout-only numeric cases also run as a fresh
 ``python -m edakit.cli`` process, under the BLAS thread setting ``eda`` gives
-itself. A change that alters output on purpose regenerates them with
+itself, and with the churn reports and ``describe_column_age`` under numpy and
+OpenBLAS kernel choices other than this host's. A change that alters output on
+purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -16,14 +18,19 @@ and says so in CHANGES.md.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import io
+import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
+import numpy as np
 import pytest
 
 from edakit.cli import main
@@ -192,6 +199,97 @@ def test_cli_keeps_a_set_blas_thread_count():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout == "2\n"
+
+
+# Kernel choices that change the rounding of numpy's ufuncs or of OpenBLAS,
+# each set only in a child process's environment: numpy without its dispatch
+# targets above the baseline, and OpenBLAS forced to older x86 kernel sets.
+# The child runs every DISPATCH_CASES case in-process and reports which match.
+DISPATCH_CASES = PROCESS_CASES + [
+    "blanks_churn_html", "blanks_churn_markdown", "churn_html", "churn_markdown", "describe_column_age",
+]
+DISPATCH_SETTINGS = ("numpy-baseline", "openblas-Haswell", "openblas-SandyBridge")
+# OpenBLAS kernel set -> the CPU feature it needs
+_OPENBLAS_CORES = {"Haswell": "AVX2", "SandyBridge": "AVX"}
+# Cases whose bytes still move under a setting on a host that dispatches to
+# AVX-512 with OpenBLAS's SkylakeX kernels, where the golden files were made.
+KNOWN_DISPATCH_FAILURES = {
+    "numpy-baseline": {
+        "blanks_churn_html", "blanks_churn_markdown", "churn_html", "churn_markdown",
+        "cluster_gmm", "describe_column_age",
+    },
+    "openblas-Haswell": {"cluster_gmm"},
+    "openblas-SandyBridge": {"cluster_gmm", "pca_standardize"},
+}
+
+
+def _umath():
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    return _multiarray_umath
+
+
+def _openblas_core() -> Optional[str]:
+    """The kernel set that the OpenBLAS bundled with numpy chose for this CPU,
+    or None when no such library answers."""
+    base = Path(np.__file__).parent
+    for lib in sorted([*base.parent.glob("numpy.libs/*openblas*"), *base.glob(".dylibs/*openblas*")]):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(handle, symbol):
+                getter = getattr(handle, symbol)
+                getter.restype = ctypes.c_char_p
+                return getter().decode()
+    return None
+
+
+@functools.cache
+def _dispatch_env(setting: str) -> Optional[dict[str, str]]:
+    """The environment of ``setting``, or None when this host lacks the
+    features it turns off or forces, or (for OpenBLAS) already runs it or
+    has no OpenBLAS that names its kernels."""
+    umath = _umath()
+    if setting == "numpy-baseline":
+        above = [t for t in umath.__cpu_dispatch__
+                 if t not in umath.__cpu_baseline__ and umath.__cpu_features__.get(t)]
+        return {"NPY_DISABLE_CPU_FEATURES": ",".join(above)} if above else None
+    core = setting.removeprefix("openblas-")
+    if not umath.__cpu_features__.get(_OPENBLAS_CORES[core]) or _openblas_core() in (None, core):
+        return None
+    return {"OPENBLAS_CORETYPE": core}
+
+
+_CHILD = """
+import json, sys, tempfile
+from pathlib import Path
+import test_golden as g
+with tempfile.TemporaryDirectory() as tmp:
+    print(json.dumps({n: g.run_case(n, Path(tmp) / n) == g.read_golden(n) for n in g.DISPATCH_CASES}))
+"""
+
+
+@functools.cache
+def _matches_under(setting: str) -> dict[str, bool]:
+    """Case name -> whether its bytes equal the golden copy in one child run under ``setting``."""
+    env = _child_env(**_dispatch_env(setting))
+    env["PYTHONPATH"] = os.pathsep.join((str(Path(__file__).parent), env["PYTHONPATH"]))
+    done = subprocess.run([sys.executable, "-c", _CHILD], env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("setting, name", [
+    pytest.param(setting, name, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=f"bytes move under {setting} (ROADMAP item 1)",
+    ) if name in KNOWN_DISPATCH_FAILURES[setting] else ())
+    for setting in DISPATCH_SETTINGS for name in DISPATCH_CASES
+])
+def test_output_matches_golden_under_other_kernels(setting, name):
+    if _dispatch_env(setting) is None:
+        pytest.skip(f"{setting} would change nothing known on this host")
+    assert _matches_under(setting)[name], f"{name} differs from its golden copy under {setting}"
 
 
 def regenerate() -> None:

@@ -16,7 +16,7 @@ from edakit.stats import (
     skewness,
     summarize,
 )
-from edakit.table import boolean_column, numeric_column
+from edakit.table import boolean_column, categorical_column, numeric_column
 
 from _oracles import (
     o_kurtosis_excess,
@@ -64,6 +64,13 @@ class TestSummarize:
     def test_insufficient_data(self):
         with pytest.raises(ValueError, match="insufficient"):
             summarize(col([1]))
+
+    @pytest.mark.parametrize("values, has_moment_skew", [([1, 2], False), ([1, 2, 4], True), ([4, None, 1, 2], True)])
+    def test_shape_fields_undefined_below_their_counts(self, values, has_moment_skew):
+        s = summarize(col(values))
+        assert math.isfinite(s.skew_pearson)
+        assert math.isfinite(s.skew_moment) == has_moment_skew
+        assert math.isnan(s.kurtosis_excess) and s.kurtosis_class is None
 
     def test_missing_excluded(self):
         s = summarize(col([1, None, 3]))
@@ -123,6 +130,17 @@ class TestSkewness:
     def test_zero_std_rejected(self):
         with pytest.raises(ValueError, match="undefined skewness"):
             skewness(col([2, 2, 2]))
+        for values, mode in (([2, 2], SkewMode.PEARSON_SECOND), ([2, 2, 2], SkewMode.MOMENT)):
+            with pytest.raises(ValueError, match=r"^column 'v': undefined skewness \(zero std\)$"):
+                skewness(col(values), mode)
+
+    @pytest.mark.parametrize("values, mode", [
+        ([2], SkewMode.PEARSON_SECOND), ([1, None], SkewMode.PEARSON_SECOND),
+        ([1, 2], SkewMode.MOMENT), ([2, 2], SkewMode.MOMENT),
+    ])
+    def test_too_few_values_refused_before_zero_std(self, values, mode):
+        with pytest.raises(ValueError, match=r"^column 'v': insufficient data for skewness$"):
+            skewness(col(values), mode)
 
     def test_affine_invariance(self):
         base = [1.0, 2.0, 2.5, 7.0, 9.0]
@@ -154,6 +172,32 @@ class TestKurtosis:
     def test_needs_four_values(self):
         with pytest.raises(ValueError):
             kurtosis(col([1, 2, 3]))
+        for values in ([2, 2, 2], [1, 2, 3, None]):  # too few comes before zero std
+            with pytest.raises(ValueError, match=r"^column 'v': kurtosis needs at least 4 values$"):
+                kurtosis(col(values))
+
+    def test_zero_std_rejected(self):
+        with pytest.raises(ValueError, match=r"^column 'v': undefined kurtosis \(zero std\)$"):
+            kurtosis(col([2, 2, 2, 2]))
+
+
+@pytest.mark.parametrize("shape", [
+    lambda c: skewness(c), lambda c: skewness(c, SkewMode.MOMENT), kurtosis, summarize,
+], ids=["pearson2", "moment", "kurtosis", "summarize"])
+def test_categorical_column_refused_first(shape):
+    # one value: the kind error comes before the count's
+    with pytest.raises(ValueError, match=r"^column 'g' is categorical, not numeric$"):
+        shape(categorical_column("g", ["a"]))
+
+
+def test_skewness_and_kurtosis_read_summarize():
+    rng = np.random.default_rng(11)
+    for n in (4, 5, 50, 1000):
+        c = col(list(rng.lognormal(0, 1, n)))
+        s = summarize(c)
+        assert skewness(c) == s.skew_pearson
+        assert skewness(c, SkewMode.MOMENT) == s.skew_moment
+        assert kurtosis(c) == (s.kurtosis_excess, s.kurtosis_class)
 
 
 class TestHistogram:
