@@ -6,7 +6,9 @@ Times Kendall's tau-b on one column pair (CreditScore, Age),
 agglomerative clustering of the CreditScore,Age matrix under each linkage,
 k-means and the Gaussian mixture fit of that matrix (k 3, seed 1729, the
 CLI's default seed), DBSCAN of the Balance,Age matrix (eps 500, min_pts 10,
-as in the benchmark), the additive decomposition (period 12) and the
+as in the benchmark) and of a standard-normal matrix of 9 columns drawn with
+``SEED`` (eps 1.5, min_pts 5; ``dbscan_d9``, where the grid's cells admit
+most pairs), the additive decomposition (period 12) and the
 moving average (window 7) of the Balance series, ``read_csv`` of the whole
 table, of the Balance column alone (as ``eda timeseries --column`` reads it)
 and of the 11 columns ``eda churn-report`` reads (all but
@@ -18,8 +20,8 @@ text of the decomposition (``eda timeseries --op decompose``'s payload, built
 before timing) written through ``stats._write_json``, at each size in
 --sizes. ``read_csv`` reads a file that ``write_csv`` wrote to a temporary
 directory before timing, and the written files go to the same directory. Every
-input is a ``scripts/make_fixture`` table built with ``N`` set to the size
-and ``SEED = 5``. A time is the median of --repeats calls; building the table
+input but ``dbscan_d9``'s is a ``scripts/make_fixture`` table built with
+``N`` set to the size and ``SEED = 5``. A time is the median of --repeats calls; building the table
 is not timed. One more call runs under ``tracemalloc`` for the kernel's
 peak of traced memory, which is reported in MB.
 
@@ -68,6 +70,7 @@ CLUSTER_COLUMNS = ("CreditScore", "Age")
 FIT_K, FIT_SEED = 3, 1729
 DBSCAN_COLUMNS = ("Balance", "Age")
 DBSCAN_EPS, DBSCAN_MIN_PTS = 500.0, 10
+D9_COLUMNS, D9_EPS, D9_MIN_PTS = 9, 1.5, 5
 SERIES_COLUMN = "Balance"
 DECOMPOSE_PERIOD, MA_WINDOW = 12, 7
 SCATTER_PAIR = ("CreditScore", "Age")
@@ -99,6 +102,8 @@ def kernels(t, scratch: Path) -> dict:
     calls["kmeans"] = (lambda: kmeans(data, FIT_K, FIT_SEED), None)
     calls["gmm"] = (lambda: gmm(data, FIT_K, FIT_SEED), None)
     calls["dbscan"] = (lambda: dbscan(density, DBSCAN_EPS, DBSCAN_MIN_PTS), None)
+    normal = np.random.default_rng(SEED).standard_normal((n, D9_COLUMNS))
+    calls["dbscan_d9"] = (lambda: dbscan(normal, D9_EPS, D9_MIN_PTS), None)
     s = series(numeric_values(t.column(SERIES_COLUMN)))
     calls["decompose"] = (lambda: decompose_additive(s, DECOMPOSE_PERIOD), None)
     payload = {"op": "decompose", **decompose_additive(s, DECOMPOSE_PERIOD).to_dict()}

@@ -383,14 +383,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.flush()  # so a reader that closed stdout early shows here, not at exit
         return code
     except BrokenPipeError:
-        # the reader closed stdout: point it at devnull, so the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _drop_stdout()  # the reader closed stdout
         return 1
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            _drop_stdout()  # stdout itself failed, a full disk say
         return 2
+
+
+def _drop_stdout() -> None:
+    """Point stdout at devnull, so the flush at exit cannot raise again on
+    what a failed write left in its buffer."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

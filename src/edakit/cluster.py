@@ -331,10 +331,11 @@ def dbscan(data: np.ndarray, eps: float, min_pts: int) -> DbscanResult:
     def apart(p, c):
         return ~g.tight[c] | (_find(parent, node[p]) != _find(parent, g.first[c]))
 
+    # a tight cell paired with itself: every core p in it has node[p] ==
+    # g.first[c], so apart retires its rows before any distance is taken
     core_cells = np.flatnonzero(ncore)
     for ci, cj in g.cell_pairs(core_cells, core_cells, half=True):
-        keep = (ci != cj) | ~g.tight[ci]
-        for p, q, d2 in g.pairs(ci[keep], cj[keep], g.first, ncore, ncore, apart):
+        for p, q, d2 in g.pairs(ci, cj, g.first, ncore, ncore, apart):
             hit = d2 <= eps2
             _union(parent, node[p[hit]], node[q[hit]])
 
@@ -447,9 +448,9 @@ class _Grid:
 
         # rounding is monotone, so when the corners of a cell's bounding box
         # are within eps, so is every pair in the cell
-        self.lo = np.minimum.reduceat(self.x, self.first, axis=0)
-        self.hi = np.maximum.reduceat(self.x, self.first, axis=0)
-        self.tight = _sq(self.hi, self.lo) <= self.eps2
+        lo = np.minimum.reduceat(self.x, self.first, axis=0)
+        hi = np.maximum.reduceat(self.x, self.first, axis=0)
+        self.tight = _sq(hi, lo) <= self.eps2
 
     def cores_first(self, core: np.ndarray) -> np.ndarray:
         """Reorder each cell's positions to put its cores (flagged by
@@ -498,19 +499,16 @@ class _Grid:
         source cell c, q over the first dst_size[c] positions of a
         destination cell c.
 
-        A row is one p with its destination cell c. Rows whose point is
-        farther than eps from the bounding box of the destination cell are
-        dropped. live(p, c) flags the rows that still need pairs; it runs on
-        the remaining rows before each batch of about _PAIRS pairs, so it may
-        read what the caller gathered from earlier chunks.
+        A row is one p with its destination cell c. live(p, c) flags the
+        rows that still need pairs; it runs on the remaining rows before each
+        batch of about _PAIRS pairs, so it may read what the caller gathered
+        from earlier chunks.
         """
         for k, p in _ranges(src_first[src], src_size[src], _PAIRS):
             # the i-th row of every cell pair comes before any (i+1)-th, so a
             # pair that live() retires early costs few rows
             turn = np.argsort(p - src_first[src[k]], kind="stable")
             p, c = p[turn], dst[k[turn]]
-            keep = self.near(p, c)
-            p, c = p[keep], c[keep]
             while len(p):
                 if live is not None:
                     keep = live(p, c)
@@ -521,18 +519,6 @@ class _Grid:
                     pp = rp[k2]
                     yield pp, q, _sq(self.x[pp], self.x[q])
                 p, c = p[batch:], c[batch:]
-
-    def near(self, p: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Rows whose point p may lie within eps of cell c. Summed like a
-        pair, the gap from p to the cell's bounding box is at most the
-        distance to any point in the cell. A cell of one point is left to
-        the pair itself."""
-        keep = np.ones(len(p), dtype=bool)
-        box = self.size[c] > 1
-        xp, c = self.x[p[box]], c[box]
-        gap = np.maximum(np.maximum(self.lo[c] - xp, xp - self.hi[c]), 0.0)
-        keep[box] = _sq(gap, 0.0) <= self.eps2
-        return keep
 
 
 # ---------------------------------------------------------------------------

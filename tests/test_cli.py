@@ -533,8 +533,10 @@ def test_closed_stdout_exits_1_quietly(tmp_path, unbuffered):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_full_stdout_is_an_error(fixture_csv):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": "1"}
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_full_stdout_is_an_error(fixture_csv, unbuffered):
+    # buffered, the failed write stays in the buffer for the flush at exit
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": unbuffered}
     with open("/dev/full", "wb") as full:
         done = subprocess.run([sys.executable, "-m", "edakit.cli", "describe", str(fixture_csv), "--column", "Age"],
                               env=env, stdout=full, stderr=subprocess.PIPE, text=True)

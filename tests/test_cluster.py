@@ -237,24 +237,28 @@ class TestDbscanMatchesLists:
             expected = o_dbscan_lists(data, eps, min_pts)
             assert dbscan(data, eps, min_pts).labels == expected
 
-    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dims", range(1, 10))
     @pytest.mark.parametrize("seed", range(4))
     def test_integer_grids(self, dims, seed):
-        # integer eps on integer coordinates: many pairs sit at exactly eps
+        # integer eps on integer coordinates: many pairs sit at exactly eps;
+        # from d = 5 on, axes of 3-7 values keep clusters forming at eps <= 3
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 300))
-        data = rng.integers(0, int(rng.integers(3, 15)), (n, dims)).astype(float)
+        data = rng.integers(0, int(rng.integers(3, 15 if dims <= 4 else 8)), (n, dims)).astype(float)
         for eps in (1.0, 2.0, 3.0):
             for min_pts in (1, 2, 4, 7, n + 1):
                 self.check(data, eps, min_pts)
 
-    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dims", range(1, 10))
     def test_rounded_gaussians_and_duplicates(self, dims):
+        # eps 1.5 and 3.0 form clusters from d = 5 on, where cell pairs are
+        # r = isqrt(d) + 1 = 3 or 4 cells apart in up to seven trailing
+        # coordinates that cell_pairs compares one by one
         rng = np.random.default_rng(dims)
         rounded = np.round(rng.normal(0, 1, (250, dims)), 1)
         repeated = np.repeat(rng.integers(0, 4, (30, dims)).astype(float), 6, axis=0)
         for data in (rounded, repeated):
-            for eps in (0.1, 0.3, 1.0):
+            for eps in (0.1, 0.3, 1.0, 1.5, 3.0):
                 for min_pts in (1, 3, 6, 20):
                     self.check(data, eps, min_pts)
 
