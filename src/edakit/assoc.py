@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .stats import _centered
 from .table import Column, Kind, Table, label_codes, numeric_with_mask
 
 
@@ -85,20 +86,18 @@ def covariance(x: Column, y: Column) -> float:
     n = len(a)
     if n < 2:
         raise ValueError("covariance needs >= 2 jointly present pairs")
-    return float(np.sum((a - a.mean()) * (b - b.mean())) / (n - 1))
+    return float(np.sum(_centered(a)[1] * _centered(b)[1]) / (n - 1))
 
 
 def _pearson_arrays(a: np.ndarray, b: np.ndarray) -> float:
     n = len(a)
     if n < 2:
         raise ValueError("correlation needs >= 2 jointly present pairs")
-    da = a - a.mean()
-    db = b - b.mean()
-    va = float(np.sum(da * da))
-    vb = float(np.sum(db * db))
+    _, da, va = _centered(a)
+    _, db, vb = _centered(b)
     if va == 0 or vb == 0:
         raise ValueError("undefined correlation: zero variance input")
-    r = float(np.sum(da * db)) / math.sqrt(va * vb)
+    r = float(np.sum(da * db)) / math.sqrt(float(va) * float(vb))
     return max(-1.0, min(1.0, r))
 
 

@@ -16,8 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .stats import (
-    BinCount, BinRule, Edges, Quantile, _bin_edges, _bin_index, _mode_smallest, quantile_type7,
-    sample_variance,
+    BinCount, BinRule, Edges, Quantile, _bin_edges, _bin_index, _centered, _mode_smallest, quantile_type7,
 )
 from .table import Column, Kind, Table, _number_texts, label_codes, numeric_values, numeric_with_mask
 
@@ -88,10 +87,10 @@ def detect_outliers(c: Column, method: OutlierMethod) -> OutlierReport:
     if isinstance(method, ZScore):
         if len(values) < 2:
             raise ValueError(f"column {c.name!r}: z-score needs >= 2 values")
-        std = math.sqrt(sample_variance(values))
-        if std == 0:
+        mean, _, ss = _centered(values)
+        if ss == 0:
             raise ValueError(f"column {c.name!r}: zero variance, z-score undefined")
-        mean = float(np.mean(values))
+        mean, std = float(mean), math.sqrt(ss / (len(values) - 1))
         lower = mean - method.threshold * std
         upper = mean + method.threshold * std
     elif isinstance(method, Iqr):
@@ -239,13 +238,12 @@ def _impute_regression(target: Column, predictor: Column) -> Column:
     both = xm & ym
     if np.count_nonzero(both) < 2:
         raise ValueError("regression imputation needs >= 2 jointly present rows")
-    x = xv[both]
-    y = yv[both]
-    sxx = float(np.sum((x - x.mean()) ** 2))
+    mx, dx, sxx = _centered(xv[both])
     if sxx == 0:
         raise ValueError(f"predictor {predictor.name!r} is constant; OLS slope undefined")
-    b = float(np.sum((x - x.mean()) * (y - y.mean()))) / sxx
-    a = float(y.mean()) - b * float(x.mean())
+    my, dy, _ = _centered(yv[both])
+    b = float(np.sum(dx * dy)) / float(sxx)
+    a = float(my) - b * float(mx)
     with np.errstate(all="ignore"):  # an overflow to inf fails the column check instead
         filled = np.where(ym, yv, a + b * xv)
     return Column.from_floats(target.name, Kind.NUMERIC, filled, np.ones(len(target), bool))
@@ -310,13 +308,11 @@ def transform(c: Column, kind: TransformKind) -> Column:
         with np.errstate(all="ignore"):
             out[present] = kind.lo + (values - lo) / (hi - lo) * (kind.hi - kind.lo)
     elif isinstance(kind, ZScoreStandardize):
-        variance = sample_variance(values) if len(values) >= 2 else 0.0
-        if variance == 0:
+        _, d, ss = _centered(values)
+        if ss == 0:  # a single value is constant too
             raise ValueError(f"column {c.name!r}: zero variance, standardization undefined")
-        mean = float(np.mean(values))
-        std = math.sqrt(variance)
         with np.errstate(all="ignore"):
-            out[present] = (values - mean) / std
+            out[present] = d / math.sqrt(ss / (len(values) - 1))
     else:
         raise TypeError(f"unsupported transform: {kind!r}")
 

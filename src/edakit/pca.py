@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from .stats import _centered
+
 
 def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     """Eigenvalues and eigenvectors of a symmetric matrix by cyclic Jacobi.
@@ -136,11 +138,10 @@ def fit_pca(data: np.ndarray, k: int, standardize: bool = False) -> PcaModel:
         raise ValueError("PCA needs at least 2 rows")
     if not 1 <= k <= min(n - 1, d):
         raise ValueError(f"k={k} outside valid range 1..{min(n - 1, d)}")
-    means = x.mean(axis=0)
-    centered = x - means
+    means, centered, ss = _centered(x)
     scales = None
     if standardize:
-        scales = np.sqrt(np.sum(centered**2, axis=0) / (n - 1))
+        scales = np.sqrt(ss / (n - 1))
         if np.any(scales == 0):
             raise ValueError("degenerate data: constant column under standardization")
         centered = centered / scales

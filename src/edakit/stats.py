@@ -3,7 +3,9 @@
 Conventions used throughout the package and documented here once:
 sample variance (ddof=1), type-7 quantiles (linear interpolation at
 h = (n-1)p/100 over the sorted values), and skewness defaulting to
-Pearson's second coefficient 3*(mean - median)/std.
+Pearson's second coefficient 3*(mean - median)/std. Every variance in the
+package centres through ``_centered``, so a column whose values are all
+equal has a sum of squares of exactly 0 wherever it is used.
 """
 
 from __future__ import annotations
@@ -195,13 +197,18 @@ def quantile_type7(sorted_values: np.ndarray, p: float) -> float:
     return float(sorted_values[lo] + (h - lo) * (sorted_values[hi] - sorted_values[lo]))
 
 
-def sample_variance(values: np.ndarray) -> float:
-    """ddof=1 variance; requires at least two values."""
-    n = len(values)
-    if n < 2:
-        raise ValueError("variance needs at least 2 values")
-    mean = float(np.mean(values))
-    return float(np.sum((values - mean) ** 2) / (n - 1))
+def _centered(x: np.ndarray):
+    """The mean along axis 0, the deviations from it and their sum of squares
+    ``ss``, by two passes (Chan, Golub & LeVeque 1983). A constant slice gets
+    deviations of exactly 0, so its ``ss`` is 0 although its computed mean
+    may miss its value by a few dozen ulps, far inside the bound below."""
+    mean = x.mean(axis=0)
+    d = x - mean
+    ss = np.sum(d * d, axis=0)
+    if np.any(np.sqrt(ss / len(x)) <= np.abs(mean) * 2.0**-30):  # cannot overflow
+        constant = x.min(axis=0) == x.max(axis=0)
+        d, ss = np.where(constant, 0.0, d), np.where(constant, 0.0, ss)[()]
+    return mean, d, ss
 
 
 def _mode_smallest(values: np.ndarray):
@@ -264,9 +271,10 @@ def summarize(c: Column) -> SummaryStats:
     if n < 2:
         raise ValueError(f"column {c.name!r}: insufficient data (need >= 2 values)")
     s = np.sort(values)
-    mean = float(np.mean(values))
+    mean, d, ss = _centered(values)
+    mean = float(mean)
     median = quantile_type7(s, 50)
-    variance = sample_variance(values)
+    variance = float(ss) / (n - 1)
     std = math.sqrt(variance)
     q1 = quantile_type7(s, 25)
     q3 = quantile_type7(s, 75)
@@ -276,8 +284,7 @@ def summarize(c: Column) -> SummaryStats:
         skew_p = skew_m = 0.0
     else:
         skew_p = 3.0 * (mean - median) / std
-        d = values - mean
-        m2 = float(np.mean(d**2))
+        m2 = float(ss) / n
         if n >= 3:
             skew_m = float(np.mean(d**3)) / m2**1.5 * math.sqrt(n * (n - 1)) / (n - 2)
         if n >= 4:

@@ -10,6 +10,8 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .stats import _centered
+
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
@@ -76,15 +78,10 @@ def acf(s: TimeSeries, max_lag: int) -> tuple[float, ...]:
     n = len(s)
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag {max_lag} outside valid range 0..{n - 1}")
-    x = s.values
-    d = x - x.mean()
-    denom = float(np.sum(d * d))
+    _, d, denom = _centered(s.values)
     if denom == 0:
         raise ValueError("zero variance: autocorrelation undefined for a constant series")
-    out = [1.0]
-    for h in range(1, max_lag + 1):
-        out.append(float(np.sum(d[:-h] * d[h:])) / denom)
-    return tuple(out)
+    return (1.0, *(float(np.sum(d[:-h] * d[h:]) / denom) for h in range(1, max_lag + 1)))
 
 
 def pacf(s: TimeSeries, max_lag: int) -> tuple[float, ...]:
@@ -206,13 +203,10 @@ def stationarity_check(
     x = s.values
     base = n // segments
     bounds = [i * base for i in range(segments)] + [n]
-    means = []
-    variances = []
-    for i in range(segments):
-        seg = x[bounds[i] : bounds[i + 1]]
-        means.append(float(seg.mean()))
-        variances.append(float(np.sum((seg - seg.mean()) ** 2) / (len(seg) - 1)))
-    global_std = float(np.std(x, ddof=1))
+    parts = [_centered(x[bounds[i] : bounds[i + 1]]) for i in range(segments)]
+    means = [float(mean) for mean, _, _ in parts]
+    variances = [float(ss) / (len(d) - 1) for _, d, ss in parts]
+    global_std = float(np.sqrt(_centered(x)[2] / (n - 1)))
     mean_spread = (max(means) - min(means)) / global_std if global_std > 0 else 0.0
     max_var = max(variances)
     var_spread = (max_var - min(variances)) / max_var if max_var > 0 else 0.0

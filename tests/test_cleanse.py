@@ -60,9 +60,10 @@ class TestDetectOutliers:
         rep = detect_outliers(col([5, 5, 5, 5]), Iqr())
         assert rep.outlier_row_indices == ()
 
-    def test_zscore_zero_variance(self):
+    @pytest.mark.parametrize("values", [[3, 3, 3], [0.1, 0.1, 0.1]], ids=["exact_mean", "rounded_mean"])
+    def test_zscore_zero_variance(self, values):
         with pytest.raises(ValueError, match="zero variance"):
-            detect_outliers(col([3, 3, 3]), ZScore())
+            detect_outliers(col(values), ZScore())
 
     def test_missing_never_flagged(self):
         rep = detect_outliers(col([1, 2, None, 3, 4, 100]), Iqr())
@@ -172,6 +173,13 @@ class TestImpute:
         out = impute(t.column("y"), LinearRegression("x"), context=t)
         assert math.isclose(out.values[1], 20.0, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("x", [[2, 2, 2], [0.1, 0.1, 0.1]], ids=["exact_mean", "rounded_mean"])
+    def test_regression_constant_predictor_rejected(self, x):
+        # the three rows with y present hold x, whose mean rounds off for 0.1
+        t = Table("t", (col([10, None, 30, 40], "y"), col(x[:1] + x, "x")), 4)
+        with pytest.raises(ValueError, match="constant; OLS slope undefined"):
+            impute(t.column("y"), LinearRegression("x"), context=t)
+
     def test_regression_needs_predictor_present(self):
         t = Table("t", (col([10, None], "y"), col([1, None], "x")), 2)
         with pytest.raises(ValueError, match="missing at row"):
@@ -224,6 +232,12 @@ class TestTransform:
         values = np.array(out.values)
         assert abs(values.mean()) < 1e-12
         assert math.isclose(values.std(ddof=1), 1.0, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("values", [[3, 3, None, 3], [0.1, 0.1, 0.1], [7]],
+                             ids=["exact_mean", "rounded_mean", "single_value"])
+    def test_standardize_constant_rejected(self, values):
+        with pytest.raises(ValueError, match="zero variance, standardization undefined"):
+            transform(col(values), ZScoreStandardize())
 
     def test_missing_stays_missing(self):
         out = transform(col([1, None, 3]), Sqrt())

@@ -164,6 +164,12 @@ class TestTransformReconstruct:
 
 
 class TestStandardize:
+    @pytest.mark.parametrize("const", [2.0, 0.1], ids=["exact_mean", "rounded_mean"])
+    def test_constant_column_rejected(self, const):
+        data = np.column_stack([np.full(3, const), [0.0, 1.0, 4.0]])
+        with pytest.raises(ValueError, match="constant column under standardization"):
+            fit_pca(data, 1, standardize=True)
+
     def test_round_trip_with_scales(self):
         data = random_data(15)
         m = fit_pca(data, data.shape[1], standardize=True)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edakit.stats import (
+    _centered,
     AutoBins,
     BinCount,
     BinWidth,
@@ -54,9 +55,11 @@ class TestSummarize:
         assert s.q1 == 1.75 and s.q3 == 3.25
         assert math.isclose(s.iqr, 1.5, rel_tol=1e-12)
 
-    def test_constant_column_is_legal(self):
-        s = summarize(col([5, 5, 5]))
-        assert s.mean == 5 and s.variance == 0
+    # 0.1 three times has a computed mean one ulp above 0.1, which the mean keeps
+    @pytest.mark.parametrize("values", [[5, 5, 5], [0.1, 0.1, 0.1]], ids=["exact_mean", "rounded_mean"])
+    def test_constant_column_is_legal(self, values):
+        s = summarize(col(values))
+        assert s.mean == np.mean(values) and s.variance == 0 and s.std == 0
         assert s.skew_pearson == 0 and s.skew_moment == 0
         assert math.isnan(s.kurtosis_excess)
         assert s.kurtosis_class is None
@@ -94,6 +97,34 @@ class TestSummarize:
             "range", "variance", "std", "q1", "q3", "iqr", "skew_pearson",
             "skew_moment", "kurtosis_excess", "kurtosis_class",
         ]
+
+
+class TestCentered:
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150),
+        st.integers(1, 300),
+    )
+    def test_constant_has_exactly_zero_deviations(self, v, n):
+        mean, d, ss = _centered(np.full(n, v))
+        assert mean == np.full(n, v).mean()
+        assert ss == 0 and not d.any()
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60))
+    def test_keeps_the_two_pass_bits(self, xs):
+        x = np.array(xs)
+        mean, d, ss = _centered(x)
+        if x.min() == x.max():
+            return
+        assert mean.tobytes() == np.mean(x).tobytes()
+        assert d.tobytes() == (x - np.mean(x)).tobytes()
+        assert ss.tobytes() == np.sum((x - np.mean(x)) ** 2).tobytes()
+
+    def test_matrix_zeroes_only_its_constant_columns(self):
+        x = np.array([[0.1, 0.0, 2.0], [0.1, 1.0, 2.0], [0.1, 4.0, 2.0]])
+        mean, d, ss = _centered(x)
+        assert mean.tobytes() == x.mean(axis=0).tobytes()
+        assert ss[0] == 0 and ss[2] == 0 and ss[1] == np.sum((x[:, 1] - mean[1]) ** 2)
+        assert not d[:, [0, 2]].any() and d[:, 1].tobytes() == (x[:, 1] - mean[1]).tobytes()
 
 
 class TestPercentile:
