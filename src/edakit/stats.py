@@ -286,9 +286,9 @@ def summarize(c: Column) -> SummaryStats:
         skew_p = 3.0 * (mean - median) / std
         m2 = float(ss) / n
         if n >= 3:
-            skew_m = float(np.mean(d**3)) / m2**1.5 * math.sqrt(n * (n - 1)) / (n - 2)
+            skew_m = float(np.mean(d * d * d)) / m2**1.5 * math.sqrt(n * (n - 1)) / (n - 2)
         if n >= 4:
-            g2 = float(np.mean(d**4)) / m2**2 - 3.0
+            g2 = float(np.mean((d * d) * (d * d))) / m2**2 - 3.0
             excess = ((n + 1) * g2 + 6.0) * (n - 1) / ((n - 2) * (n - 3))
             k_class = classify_kurtosis(excess)
     return SummaryStats(
