@@ -3,7 +3,10 @@
 Subcommands: describe, clean, corr, cluster, pca, timeseries, plot,
 churn-report. Machine-readable JSON goes to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 stdout closed by its reader (``eda ... | head``), 2
-usage/input error, 3 findings failure (churn-report only). Seeded subcommands
+usage/input error, 3 findings failure (churn-report only). A floating-point
+overflow, invalid operation or division by zero in a subcommand is an input
+error here, reported with a hint to rescale the data; library callers get
+numpy's ``RuntimeWarning`` and its inf or NaN instead. Seeded subcommands
 default to DEFAULT_SEED, overridable with the EDA_SEED environment variable
 and the --seed flag; identical seed and input give byte-identical output.
 
@@ -379,15 +382,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.fn(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            code = args.fn(args)
         sys.stdout.flush()  # so a reader that closed stdout early shows here, not at exit
         return code
     except BrokenPipeError:
         _drop_stdout()  # the reader closed stdout
         return 1
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError, FloatingPointError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        if isinstance(exc, FloatingPointError):
+            message = f"{args.command}: float64 {exc}; rescale the data"
         print(f"error: {message}", file=sys.stderr)
         try:
             sys.stdout.flush()

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ROOT
-from edakit import report, table
+from edakit import cli, report, table
 from edakit.cli import main
 
 
@@ -542,3 +548,97 @@ def test_full_stdout_is_an_error(fixture_csv, unbuffered):
                               env=env, stdout=full, stderr=subprocess.PIPE, text=True)
     assert done.returncode == 2
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+# columns of 1e200 scale, whose squares overflow float64, and a column whose sum does
+@pytest.mark.parametrize("csv, argv", [
+    ("a,b\n1e200,1\n2e200,2\n3e200,3\n4e200,5\n", ["corr"]),
+    ("a,b\n1e200,1\n2e200,2\n3e200,3\n4e200,5\n", ["describe", "--column", "a"]),
+    ("a,b\n1e200,1\n2e200,2\n3e200,3\n4e200,5\n", ["pca", "--components", "1"]),
+    ("a\n1e308\n1e308\n", ["describe", "--column", "a"]),
+], ids=["corr", "describe", "pca", "sum_overflows"])
+def test_overflow_is_an_error(capsys, tmp_path, csv, argv):
+    src = tmp_path / "big.csv"
+    src.write_text(csv, encoding="utf-8")
+    code, out, err = run(capsys, argv[0], str(src), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {argv[0]}: float64 overflow encountered in ")
+    assert err.endswith("; rescale the data\n") and err.count("\n") == 1
+
+
+def test_library_callers_keep_numpys_warning():
+    from edakit.assoc import pearson
+    big = table.numeric_column("a", [1e200, 2e200, 3e200, 4e200])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        pearson(big, table.numeric_column("b", [1, 2, 3, 5]))
+
+
+_SMALL = ["0", "1", "-2.5", "3", "7", "0.1", "1e-300", "5e-324"]
+_CELL_POOLS = [_SMALL, _SMALL, _SMALL + ["1e200", "1e308", "-1e308"], _SMALL + ["", "NA"], ["x", "y", ""]]
+
+
+@st.composite
+def _small_csv(draw):
+    """Columns a, b and c of up to 12 rows, each drawn from one pool: small
+    numbers, with huge ones, with blanks, or labels."""
+    n = draw(st.integers(1, 12))
+    columns = [draw(st.lists(st.sampled_from(draw(st.sampled_from(_CELL_POOLS))), min_size=n, max_size=n))
+               for _ in "abc"]
+    return "a,b,c\n" + "".join(",".join(row) + "\n" for row in zip(*columns))
+
+
+# values for a mode's options: a needed option always gets one, another one half the time
+_OPTION_VALUES = {
+    "k": ["1", "2", "3"], "eps": ["0.5", "2", "1e300"], "min_pts": ["1", "2", "3"], "period": ["2", "3"],
+    "column": list("abc"), "x": list("abc"), "y": list("abc"), "max_lag": ["0", "1", "3"],
+    "window": ["1", "2"], "lag": ["1", "2"], "segments": ["2", "3"],
+}
+_MODES = (
+    [("describe", mode) for mode in cli._DESCRIBE] + [("cluster", mode) for mode in cli._CLUSTER]
+    + [("timeseries", mode) for mode in cli._TIMESERIES] + [("plot", mode) for mode in cli._PLOT]
+    + [("corr", method) for method in ("pearson", "spearman", "kendall")]
+    + [("pca", "plain"), ("pca", "standardize")]
+)
+
+
+def _mode_argv(draw, command: str, mode: str) -> list[str]:
+    column = draw(st.sampled_from("abc"))
+    if command == "describe":
+        return {"schema": [], "--column": ["--column", column]}.get(
+            mode, ["--outliers", column, "--method", mode])
+    if command == "corr":
+        return ["--method", mode]
+    if command == "pca":
+        return ["--components", "1", "--columns", "a,b", *(["--standardize"] if mode == "standardize" else [])]
+    flag = {"cluster": "--algo", "timeseries": "--op", "plot": "--kind"}[command]
+    argv = [flag, mode, *({"cluster": ["--columns", "a,b"], "timeseries": ["--column", column]}.get(command, []))]
+    modes = {"cluster": cli._CLUSTER, "timeseries": cli._TIMESERIES, "plot": cli._PLOT}[command]
+    for dest, default in modes[mode].items():
+        if dest in _OPTION_VALUES and (default is cli._NEEDED or draw(st.booleans())):
+            argv += ["--" + dest.replace("_", "-"), draw(st.sampled_from(_OPTION_VALUES[dest]))]
+    return argv
+
+
+@pytest.mark.parametrize("command, mode", _MODES, ids=[f"{c}-{m}" for c, m in _MODES])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_every_mode_succeeds_or_refuses_in_one_line(command, mode, data):
+    csv = data.draw(_small_csv())
+    argv = _mode_argv(data.draw, command, mode)
+    with tempfile.TemporaryDirectory() as tmp:
+        src, svg = Path(tmp) / "in.csv", Path(tmp) / "out.svg"
+        src.write_text(csv, encoding="utf-8")
+        if command == "plot":
+            argv += ["--out", str(svg)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(src), *argv])
+        if code == 2:
+            assert out.getvalue() == "" and not svg.exists()
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            assert code == 0, err.getvalue()
+            if command == "plot":
+                ElementTree.parse(svg)
+            else:
+                json.loads(out.getvalue())
