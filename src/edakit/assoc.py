@@ -90,8 +90,7 @@ def covariance(x: Column, y: Column) -> float:
 
 
 def _pearson_arrays(a: np.ndarray, b: np.ndarray) -> float:
-    n = len(a)
-    if n < 2:
+    if len(a) < 2:
         raise ValueError("correlation needs >= 2 jointly present pairs")
     _, da, va = _centered(a)
     _, db, vb = _centered(b)

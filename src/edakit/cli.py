@@ -3,10 +3,9 @@
 Subcommands: describe, clean, corr, cluster, pca, timeseries, plot,
 churn-report. Machine-readable JSON goes to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 stdout closed by its reader (``eda ... | head``), 2
-usage/input error, 3 findings failure (churn-report only). A floating-point
-overflow, invalid operation or division by zero in a subcommand is an input
-error here, reported with a hint to rescale the data; library callers get
-numpy's ``RuntimeWarning`` and its inf or NaN instead. Seeded subcommands
+usage/input error, 3 findings failure (churn-report only). A float overflow,
+invalid value or division by zero is exit 2 with a hint to rescale the data;
+library callers get numpy's ``RuntimeWarning`` instead. Seeded subcommands
 default to DEFAULT_SEED, overridable with the EDA_SEED environment variable
 and the --seed flag; identical seed and input give byte-identical output.
 

@@ -3,9 +3,9 @@
 Conventions used throughout the package and documented here once:
 sample variance (ddof=1), type-7 quantiles (linear interpolation at
 h = (n-1)p/100 over the sorted values), and skewness defaulting to
-Pearson's second coefficient 3*(mean - median)/std. Every variance in the
-package centres through ``_centered``, so a column whose values are all
-equal has a sum of squares of exactly 0 wherever it is used.
+Pearson's second coefficient 3*(mean - median)/std. Every variance outside
+the clustering fits centres through ``_centered``, so a column whose values
+are all equal has a sum of squares of exactly 0 wherever it is used.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def _centered(x: np.ndarray):
     mean = x.mean(axis=0)
     d = x - mean
     ss = np.sum(d * d, axis=0)
-    if np.any(np.sqrt(ss / len(x)) <= np.abs(mean) * 2.0**-30):  # cannot overflow
+    if (np.sqrt(ss / len(x)) <= abs(mean) * 2.0**-30).any():  # cannot overflow
         constant = x.min(axis=0) == x.max(axis=0)
         d, ss = np.where(constant, 0.0, d), np.where(constant, 0.0, ss)[()]
     return mean, d, ss

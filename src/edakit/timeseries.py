@@ -200,13 +200,11 @@ def stationarity_check(
         raise ValueError("need at least 2 segments")
     if n < 2 * segments:
         raise ValueError(f"series of length {n} too short for {segments} segments")
-    x = s.values
-    base = n // segments
-    bounds = [i * base for i in range(segments)] + [n]
-    parts = [_centered(x[bounds[i] : bounds[i + 1]]) for i in range(segments)]
+    segs = np.split(s.values, np.arange(1, segments) * (n // segments))
+    parts = [(*_centered(seg)[::2], len(seg)) for seg in segs]  # deviations freed at once for reuse
     means = [float(mean) for mean, _, _ in parts]
-    variances = [float(ss) / (len(d) - 1) for _, d, ss in parts]
-    global_std = float(np.sqrt(_centered(x)[2] / (n - 1)))
+    variances = [float(ss) / (m - 1) for _, ss, m in parts]
+    global_std = float(np.sqrt(_centered(s.values)[2] / (n - 1)))
     mean_spread = (max(means) - min(means)) / global_std if global_std > 0 else 0.0
     max_var = max(variances)
     var_spread = (max_var - min(variances)) / max_var if max_var > 0 else 0.0

@@ -42,9 +42,9 @@ class TestCovariance:
     def test_antithetic(self):
         assert covariance(ncol([1, 2, 3]), ncol([3, 2, 1])) == -1.0
 
-    @pytest.mark.parametrize("const", [[5, 5, 5], [0.1, 0.1, 0.1]], ids=["exact_mean", "rounded_mean"])
-    def test_constant_gives_zero(self, const):
-        assert covariance(ncol([0, 1, 4]), ncol(const)) == 0.0
+    def test_constant_gives_zero(self):
+        for const in ([5, 5, 5], [0.1, 0.1, 0.1]):  # the second's computed mean rounds off
+            assert covariance(ncol([0, 1, 4]), ncol(const)) == 0.0
 
     def test_pairwise_deletion(self):
         x = ncol([1, 2, None, 4])
@@ -64,12 +64,12 @@ class TestPearson:
     def test_sign_flip(self):
         assert pearson(ncol([1, 2, 3]), ncol([-1, -2, -3])) == -1.0
 
-    @pytest.mark.parametrize("const", [[5, 5, 5], [0.1, 0.1, 0.1]], ids=["exact_mean", "rounded_mean"])
-    def test_constant_rejected(self, const):
-        with pytest.raises(ValueError, match="undefined correlation"):
-            pearson(ncol([0, 1, 4]), ncol(const))
-        m = correlation_matrix(Table("t", (ncol(const, "a"), ncol([0, 1, 4], "b")), 3))
-        assert m.cell("a", "b") is None and m.cell("a", "a") is None and m.cell("b", "b") == 1.0
+    def test_constant_rejected(self):
+        for const in ([5, 5, 5], [0.1, 0.1, 0.1]):  # the second's computed mean rounds off
+            with pytest.raises(ValueError, match="undefined correlation"):
+                pearson(ncol([0, 1, 4]), ncol(const))
+            m = correlation_matrix(Table("t", (ncol(const, "a"), ncol([0, 1, 4], "b")), 3))
+            assert m.cell("a", "b") is None and m.cell("a", "a") is None and m.cell("b", "b") == 1.0
 
     def test_clamped_to_unit_interval(self):
         rng = np.random.default_rng(1)

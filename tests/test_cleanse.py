@@ -60,10 +60,10 @@ class TestDetectOutliers:
         rep = detect_outliers(col([5, 5, 5, 5]), Iqr())
         assert rep.outlier_row_indices == ()
 
-    @pytest.mark.parametrize("values", [[3, 3, 3], [0.1, 0.1, 0.1]], ids=["exact_mean", "rounded_mean"])
-    def test_zscore_zero_variance(self, values):
-        with pytest.raises(ValueError, match="zero variance"):
-            detect_outliers(col(values), ZScore())
+    def test_zscore_zero_variance(self):
+        for values in ([3, 3, 3], [0.1, 0.1, 0.1]):  # the second's computed mean rounds off
+            with pytest.raises(ValueError, match="zero variance"):
+                detect_outliers(col(values), ZScore())
 
     def test_missing_never_flagged(self):
         rep = detect_outliers(col([1, 2, None, 3, 4, 100]), Iqr())

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ROOT
-from edakit import cli, report, table
+from edakit import assoc, cli, report, table
 from edakit.cli import main
 
 
@@ -567,10 +567,9 @@ def test_overflow_is_an_error(capsys, tmp_path, csv, argv):
 
 
 def test_library_callers_keep_numpys_warning():
-    from edakit.assoc import pearson
     big = table.numeric_column("a", [1e200, 2e200, 3e200, 4e200])
     with pytest.warns(RuntimeWarning, match="overflow"):
-        pearson(big, table.numeric_column("b", [1, 2, 3, 5]))
+        assoc.pearson(big, table.numeric_column("b", [1, 2, 3, 5]))
 
 
 _SMALL = ["0", "1", "-2.5", "3", "7", "0.1", "1e-300", "5e-324"]

@@ -55,14 +55,14 @@ class TestSummarize:
         assert s.q1 == 1.75 and s.q3 == 3.25
         assert math.isclose(s.iqr, 1.5, rel_tol=1e-12)
 
-    # 0.1 three times has a computed mean one ulp above 0.1, which the mean keeps
-    @pytest.mark.parametrize("values", [[5, 5, 5], [0.1, 0.1, 0.1]], ids=["exact_mean", "rounded_mean"])
-    def test_constant_column_is_legal(self, values):
-        s = summarize(col(values))
-        assert s.mean == np.mean(values) and s.variance == 0 and s.std == 0
-        assert s.skew_pearson == 0 and s.skew_moment == 0
-        assert math.isnan(s.kurtosis_excess)
-        assert s.kurtosis_class is None
+    def test_constant_column_is_legal(self):
+        # 0.1 three times has a computed mean one ulp above 0.1, which the mean keeps
+        for values in ([5, 5, 5], [0.1, 0.1, 0.1]):
+            s = summarize(col(values))
+            assert s.mean == np.mean(values) and s.variance == 0 and s.std == 0
+            assert s.skew_pearson == 0 and s.skew_moment == 0
+            assert math.isnan(s.kurtosis_excess)
+            assert s.kurtosis_class is None
 
     def test_insufficient_data(self):
         with pytest.raises(ValueError, match="insufficient"):
