@@ -194,14 +194,14 @@ def cmd_cluster(args) -> int:
         dend = cluster.agglomerative(data, cluster.Linkage(args.linkage))
         payload = {"algo": "hier", "columns": names, **dend.to_dict()}
         if args.k is not None:
-            payload["labels"] = list(cluster.cut(dend, args.k))
+            payload["labels"] = cluster.cut(dend, args.k).tolist()
     elif args.algo == "dbscan":
         result = cluster.dbscan(data, args.eps, args.min_pts)
         payload = {"algo": "dbscan", "columns": names, **result.to_dict()}
     else:
         model = cluster.gmm(data, args.k, args.seed)
         labels, _ = cluster.gmm_predict(model, data)
-        payload = {"algo": "gmm", "columns": names, "labels": list(labels), **model.to_dict()}
+        payload = {"algo": "gmm", "columns": names, "labels": labels.tolist(), **model.to_dict()}
     _print_json(payload)
     return 0
 

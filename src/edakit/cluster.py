@@ -1,11 +1,12 @@
 """Clustering: k-means (Lloyd + k-means++), agglomerative hierarchical
 clustering, DBSCAN, and Gaussian mixtures fit by EM.
 
-Every stochastic fit takes an integer seed feeding the package's portable
-SplitMix64 generator, so identical seed and input give bit-identical
-results, whatever the array's memory order: every fit reads its data in C
-order. Distances are Euclidean throughout, and every squared distance is
-summed by one helper, ``_sq``.
+Labels are read-only int64 arrays with one entry per row, as ``TimeSeries``
+values are; ``to_dict`` writes them as lists. Every stochastic fit takes an
+integer seed feeding the package's portable SplitMix64 generator, so
+identical seed and input give bit-identical results, whatever the array's
+memory order: every fit reads its data in C order. Distances are Euclidean
+throughout, and every squared distance is summed by one helper, ``_sq``.
 """
 
 from __future__ import annotations
@@ -26,16 +27,19 @@ from .rng import SplitMix64
 
 @dataclass(eq=False, frozen=True)
 class KMeansResult:
-    labels: tuple[int, ...]
+    labels: np.ndarray  # read-only int64
     centroids: np.ndarray
     inertia: float
     iterations: int
     seed: int
     inertia_history: tuple[float, ...]  # inertia after each assignment step
 
+    def __post_init__(self) -> None:
+        self.labels.flags.writeable = False
+
     def to_dict(self) -> dict:
         return {
-            "labels": list(self.labels),
+            "labels": self.labels.tolist(),
             "centroids": self.centroids.tolist(),
             "inertia": self.inertia,
             "iterations": self.iterations,
@@ -55,6 +59,9 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
     centroids[0] = x[rng.randint(n)]
     d2 = _sq(x, centroids[0])
     for j in range(1, k):
+        # the j centres are distinct (each had a positive weight) and every point sits on one
+        if not d2.any():
+            raise ValueError(f"k={k} exceeds distinct points ({j})")
         idx = rng.choice_weighted(d2.tolist())
         centroids[j] = x[idx]
         d2 = np.minimum(d2, _sq(x, centroids[j]))
@@ -81,9 +88,6 @@ def kmeans(
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside valid range 1..{n}")
-    distinct = len(np.unique(x + 0.0, axis=0))  # + 0.0 folds -0.0 into 0.0
-    if k > distinct:
-        raise ValueError(f"k={k} exceeds distinct points ({distinct})")
 
     rng = SplitMix64(seed)
     centroids = _kmeanspp_init(x, k, rng)
@@ -98,18 +102,14 @@ def kmeans(
             break
         labels = new_labels
         iterations += 1
+        counts = np.bincount(labels, minlength=k)
         new_centroids = centroids.copy()
-        for j in range(k):
-            members = x[labels == j]
-            if len(members):
-                new_centroids[j] = members.mean(axis=0)
-        empty = [j for j in range(k) if not np.any(labels == j)]
-        if empty:
-            point_dist = d2[np.arange(n), labels].copy()
-            for j in empty:
-                far = int(np.argmax(point_dist))
-                new_centroids[j] = x[far]
-                point_dist[far] = -1.0
+        for j in np.flatnonzero(counts):
+            new_centroids[j] = x[labels == j].mean(axis=0)
+        empty = np.flatnonzero(counts == 0)
+        if len(empty):  # ties between distances go to the lowest row
+            far = np.argsort(-d2[np.arange(n), labels], kind="stable")[: len(empty)]
+            new_centroids[empty] = x[far]
         shift = float(np.max(np.sqrt(_sq(new_centroids, centroids))))
         centroids = new_centroids
         if shift < tol:
@@ -118,15 +118,8 @@ def kmeans(
             history.append(float(np.sum(d2[np.arange(n), labels])))
             break
 
-    inertia = history[-1]
-    return KMeansResult(
-        labels=tuple(int(v) for v in labels),
-        centroids=centroids,
-        inertia=inertia,
-        iterations=iterations,
-        seed=seed,
-        inertia_history=tuple(history),
-    )
+    return KMeansResult(labels=labels, centroids=centroids, inertia=history[-1],
+                        iterations=iterations, seed=seed, inertia_history=tuple(history))
 
 
 # ---------------------------------------------------------------------------
@@ -245,24 +238,33 @@ def agglomerative(data: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendr
     return Dendrogram(tuple(merges), linkage, n)
 
 
-def cut(dendrogram: Dendrogram, k: int) -> tuple[int, ...]:
-    """Labels for k clusters: replay the first n-k merges.
+def cut(dendrogram: Dendrogram, k: int) -> np.ndarray:
+    """Labels for k clusters, the clusters left after the first n-k merges.
 
     Clusters are numbered 0..k-1 in order of their smallest member row.
     """
     n = dendrogram.n_points
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside valid range 1..{n}")
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    for step, m in enumerate(dendrogram.merges[: n - k]):
-        merged = members.pop(m.cluster_a) + members.pop(m.cluster_b)
-        members[n + step] = merged
-    groups = sorted(members.values(), key=min)
-    labels = [0] * n
-    for gi, group in enumerate(groups):
-        for row in group:
-            labels[row] = gi
-    return tuple(labels)
+    # walking the merges backwards, each merged cluster hands its final cluster to its two parts
+    final = list(range(2 * n - k))
+    for step in range(n - k - 1, -1, -1):
+        m = dendrogram.merges[step]
+        final[m.cluster_a] = final[m.cluster_b] = final[n + step]
+    labels = _number_by_row(np.array(final[:n]), np.arange(n))
+    labels.flags.writeable = False
+    return labels
+
+
+def _number_by_row(comp: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Labels 0, 1, ... for the points at distinct input rows row in components
+    comp (ids >= 0), numbered in order of each component's smallest row."""
+    lowest = np.full(int(comp.max(initial=-1)) + 1, np.iinfo(np.int64).max)
+    np.minimum.at(lowest, comp, row)
+    used = np.flatnonzero(lowest < np.iinfo(np.int64).max)
+    rank = np.empty(len(lowest), dtype=np.int64)
+    rank[used[np.argsort(lowest[used])]] = np.arange(len(used))
+    return rank[comp]
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +276,17 @@ def cut(dendrogram: Dendrogram, k: int) -> tuple[int, ...]:
 _PAIRS = 1 << 12
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, frozen=True)
 class DbscanResult:
-    labels: tuple[int, ...]  # -1 marks noise
+    labels: np.ndarray  # read-only int64; -1 marks noise
     eps: float
     min_pts: int
 
+    def __post_init__(self) -> None:
+        self.labels.flags.writeable = False
+
     def to_dict(self) -> dict:
-        return {"labels": list(self.labels), "eps": self.eps, "min_pts": self.min_pts}
+        return {"labels": self.labels.tolist(), "eps": self.eps, "min_pts": self.min_pts}
 
 
 def dbscan(data: np.ndarray, eps: float, min_pts: int) -> DbscanResult:
@@ -309,7 +314,7 @@ def dbscan(data: np.ndarray, eps: float, min_pts: int) -> DbscanResult:
         raise ValueError("min_pts must be >= 1")
     n = x.shape[0]
     if n == 0:
-        return DbscanResult((), eps, min_pts)
+        return DbscanResult(np.empty(0, dtype=np.int64), eps, min_pts)
     g = _Grid(x, eps)
     eps2 = g.eps2
 
@@ -340,14 +345,8 @@ def dbscan(data: np.ndarray, eps: float, min_pts: int) -> DbscanResult:
             _union(parent, node[p[hit]], node[q[hit]])
 
     # clusters are numbered by their smallest core row
-    root = _find(parent, node[cores])
-    lowest = np.full(n, n)
-    np.minimum.at(lowest, root, g.row[cores])
-    comps = np.flatnonzero(lowest < n)
-    rank = np.empty(n, dtype=np.int64)
-    rank[comps[np.argsort(lowest[comps])]] = np.arange(len(comps))
     label = np.full(n, -1, dtype=np.int64)
-    label[cores] = rank[root]
+    label[cores] = _number_by_row(_find(parent, node[cores]), g.row[cores])
 
     # borders: the nearest core within eps, distance ties to the lowest label
     rest = g.size - ncore
@@ -370,7 +369,7 @@ def dbscan(data: np.ndarray, eps: float, min_pts: int) -> DbscanResult:
 
     labels = np.empty(n, dtype=np.int64)
     labels[g.row] = label
-    return DbscanResult(tuple(int(v) for v in labels), eps, min_pts)
+    return DbscanResult(labels, eps, min_pts)
 
 
 def _find(parent: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -591,15 +590,13 @@ def gmm(
     x = _validate_matrix(data)
     n, d = x.shape
     km = kmeans(x, k, seed)
-    labels = np.array(km.labels)
-    weights = np.array([max(np.sum(labels == j), 1) for j in range(k)], dtype=float)
+    counts = np.bincount(km.labels, minlength=k)
+    weights = np.maximum(counts, 1).astype(float)
     weights /= weights.sum()
     means = km.centroids.copy()
     covs = np.empty((k, d, d))
     for j in range(k):
-        members = x[labels == j]
-        if len(members) == 0:
-            members = x
+        members = x[km.labels == j] if counts[j] else x
         diff = members - members.mean(axis=0)
         covs[j] = diff.T @ diff / len(members) + ridge * np.eye(d)
 
@@ -640,7 +637,7 @@ def gmm(
     )
 
 
-def gmm_predict(model: GmmModel, data: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+def gmm_predict(model: GmmModel, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hard labels (argmax responsibility) and the responsibility matrix.
 
     Responsibility rows sum to 1.
@@ -652,5 +649,6 @@ def gmm_predict(model: GmmModel, data: np.ndarray) -> tuple[tuple[int, ...], np.
         )
     log_resp, _ = _log_resp(x, model.weights, model.means, model.covariances)
     resp = np.exp(log_resp)
-    labels = tuple(int(v) for v in np.argmax(resp, axis=1))
+    labels = np.argmax(resp, axis=1)
+    labels.flags.writeable = False
     return labels, resp

@@ -164,6 +164,23 @@ def o_agglomerative(points, linkage):
     return merges
 
 
+def o_cut(dendrogram, k):
+    """Labels for k clusters of a dendrogram, replaying its first n-k merges
+    on a dict of member lists (the library kernel before the reverse pass).
+    Clusters are numbered 0..k-1 in order of their smallest member row."""
+    n = dendrogram.n_points
+    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    for step, m in enumerate(dendrogram.merges[: n - k]):
+        merged = members.pop(m.cluster_a) + members.pop(m.cluster_b)
+        members[n + step] = merged
+    groups = sorted(members.values(), key=min)
+    labels = [0] * n
+    for gi, group in enumerate(groups):
+        for row in group:
+            labels[row] = gi
+    return tuple(labels)
+
+
 def o_kendall_pairloop(a, b):
     """Kendall's tau-b of two float arrays, one row of the pair matrix at a
     time (the library kernel before Knight's method)."""

@@ -233,7 +233,7 @@ class TestCriterion5Clustering:
             if not all(h[i] >= h[i + 1] - 1e-9 for i in range(len(h) - 1)):
                 failures.append(f"kmeans inertia not monotone, trial {trial}")
             d2 = ((data[:, None, :] - r.centroids[None, :, :]) ** 2).sum(axis=2)
-            if tuple(int(v) for v in np.argmin(d2, axis=1)) != r.labels:
+            if not np.array_equal(tuple(int(v) for v in np.argmin(d2, axis=1)), r.labels):
                 failures.append(f"kmeans fixed point violated, trial {trial}")
             if failures:
                 break

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import operator
 import tracemalloc
@@ -17,7 +18,7 @@ from edakit.cluster import (
 )
 from edakit.pca import fit_pca, transform_pca
 
-from _oracles import o_agglomerative, o_agglomerative_scan, o_dbscan_lists
+from _oracles import o_agglomerative, o_agglomerative_scan, o_cut, o_dbscan_lists
 
 
 def blobs(seed, centers, n_per=20, spread=0.3):
@@ -70,11 +71,12 @@ class TestKMeans:
     def test_k_exceeds_distinct(self):
         data = np.array([[1.0, 1.0]] * 4 + [[2.0, 2.0]] * 4 + [[1.0, 1.0]])
         assert kmeans(data, 2, seed=1).inertia == 0.0
-        # the message counts every distinct row; 0.0 and -0.0 are one row, as they compare equal
-        with pytest.raises(ValueError, match=r"^k=3 exceeds distinct points \(2\)$"):
-            kmeans(data, 3, seed=1)
-        with pytest.raises(ValueError, match=r"^k=3 exceeds distinct points \(2\)$"):
-            kmeans(np.array([[0.0], [-0.0], [1.0]]), 3, seed=1)
+        # the message counts every distinct row; 0.0 and -0.0 are one row, as they compare equal,
+        # and so are two rows whose squared distance underflows to 0
+        for rows, k, distinct in ((data, 3, 2), ([[0.0], [-0.0], [1.0]], 3, 2), ([[0.0], [1e-170]], 2, 1)):
+            for fit in (kmeans, gmm):
+                with pytest.raises(ValueError, match=rf"^k={k} exceeds distinct points \({distinct}\)$"):
+                    fit(np.array(rows), k, seed=1)
 
     def test_emptied_cluster_is_reseeded(self):
         # an assignment step of this seeded run leaves a cluster empty
@@ -98,7 +100,7 @@ class TestKMeans:
             r = kmeans(data, 2, seed=seed)
             d2 = ((data[:, None, :] - r.centroids[None, :, :]) ** 2).sum(axis=2)
             reassigned = tuple(int(v) for v in np.argmin(d2, axis=1))
-            assert reassigned == r.labels
+            assert np.array_equal(reassigned, r.labels)
 
     def test_centroids_are_cluster_means(self):
         data = blobs(3, [(0, 0), (8, 8)])
@@ -111,7 +113,7 @@ class TestKMeans:
         data = blobs(4, [(0, 0), (3, 3), (9, 0)], n_per=25)
         a = kmeans(data, 3, seed=42)
         b = kmeans(data, 3, seed=42)
-        assert a.labels == b.labels
+        assert np.array_equal(a.labels, b.labels)
         assert a.centroids.tobytes() == b.centroids.tobytes()
         assert a.inertia == b.inertia
         assert a.inertia_history == b.inertia_history
@@ -148,8 +150,8 @@ class TestAgglomerative:
         data = blobs(2, [(0, 0), (5, 5)], n_per=5)
         d = agglomerative(data, Linkage.COMPLETE)
         n = len(data)
-        assert cut(d, n) == tuple(range(n))
-        assert cut(d, 1) == tuple([0] * n)
+        assert np.array_equal(cut(d, n), tuple(range(n)))
+        assert np.array_equal(cut(d, 1), tuple([0] * n))
 
     def test_cut_recovers_separated_blobs(self):
         data = np.vstack([blobs(3, [(0, 0)], n_per=10), blobs(4, [(50, 50)], n_per=10)])
@@ -183,6 +185,32 @@ class TestAgglomerative:
             data = rng.integers(0, int(rng.integers(2, 7)), (n, dims)).astype(float)
             got = [tuple(m) for m in agglomerative(data, linkage).merges]
             assert got == o_agglomerative([tuple(p) for p in data.tolist()], linkage.value)
+
+
+class TestCutMatchesReplay:
+    # the reverse pass against the earlier replay of member lists, exact
+    # labels for every k
+
+    def check(self, data, linkage):
+        d = agglomerative(data, linkage)
+        for k in range(1, len(data) + 1):
+            assert np.array_equal(cut(d, k), o_cut(d, k))
+
+    @pytest.mark.parametrize("linkage", list(Linkage))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_integer_grids(self, linkage, seed):
+        # few distinct coordinates: tied merge distances and duplicate rows
+        rng = np.random.default_rng(seed)
+        n = 40 if seed == 0 else int(rng.integers(2, 41))
+        data = rng.integers(0, int(rng.integers(2, 6)), (n, 1 + seed % 3)).astype(float)
+        self.check(data, linkage)
+
+    @pytest.mark.parametrize("linkage", list(Linkage))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gaussians(self, linkage, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = 40 if seed == 0 else int(rng.integers(2, 41))
+        self.check(rng.normal(0, 1, (n, 1 + seed % 3)), linkage)
 
 
 class TestAgglomerativeMatchesScan:
@@ -235,7 +263,7 @@ class TestDbscanMatchesLists:
     def check(self, data, eps, min_pts):
         with np.errstate(over="ignore"):
             expected = o_dbscan_lists(data, eps, min_pts)
-            assert dbscan(data, eps, min_pts).labels == expected
+            assert np.array_equal(dbscan(data, eps, min_pts).labels, expected)
 
     @pytest.mark.parametrize("dims", range(1, 10))
     @pytest.mark.parametrize("seed", range(4))
@@ -302,7 +330,7 @@ class TestDbscanMatchesLists:
         c_order = np.ascontiguousarray(pair)
         expected = o_dbscan_lists(c_order, eps, 2)
         for order in "CF":
-            assert dbscan(np.asarray(pair, order=order), eps, 2).labels == expected
+            assert np.array_equal(dbscan(np.asarray(pair, order=order), eps, 2).labels, expected)
 
     def test_balance_age_shape(self):
         self.check(balance_age(5000), 500.0, 10)
@@ -325,8 +353,8 @@ class TestDbscan:
              [50.0, 50.0]]
         )
         r = dbscan(data, eps=0.5, min_pts=2)
-        assert r.labels[:3] == (0, 0, 0)
-        assert r.labels[3:6] == (1, 1, 1)
+        assert np.array_equal(r.labels[:3], (0, 0, 0))
+        assert np.array_equal(r.labels[3:6], (1, 1, 1))
         assert r.labels[6] == -1
 
     def test_min_pts_one_no_noise(self):
@@ -345,7 +373,7 @@ class TestDbscan:
         data = np.array([[0.0], [1.0], [2.0]])
         r = dbscan(data, eps=1.0, min_pts=3)
         # middle point has neighbors at distance exactly eps on both sides
-        assert r.labels == (0, 0, 0)
+        assert np.array_equal(r.labels, (0, 0, 0))
 
     def test_partition_invariant_under_permutation(self):
         for seed in range(10):
@@ -368,7 +396,7 @@ class TestDbscan:
             assert partition(base.labels) == partition(mapped)
 
     def test_no_points(self):
-        assert dbscan(np.empty((0, 2)), eps=1.0, min_pts=1).labels == ()
+        assert np.array_equal(dbscan(np.empty((0, 2)), eps=1.0, min_pts=1).labels, ())
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -441,7 +469,31 @@ class TestGmm:
         data = blobs(6, [(0, 0), (9, 9)], n_per=30)
         m = gmm(data, 2, seed=8)
         labels, resp = gmm_predict(m, data)
-        assert labels == tuple(int(v) for v in np.argmax(resp, axis=1))
+        assert np.array_equal(labels, tuple(int(v) for v in np.argmax(resp, axis=1)))
+
+
+SEVEN = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [9.0, 9.0], [9.0, 10.0], [10.0, 9.0], [4.0, 15.0]])
+
+
+class TestLabelArrays:
+    # each fit's JSON text is the one the fits wrote when labels were tuples of ints
+    @pytest.mark.parametrize("fit, text", [
+        (lambda x: kmeans(x, 2, seed=3),
+         '{"labels": [0, 0, 0, 1, 1, 1, 1], "centroids": [[0.3333333333333333, 0.3333333333333333], '
+         '[8.0, 10.75]], "inertia": 48.083333333333336, "iterations": 1, "seed": 3}'),
+        (lambda x: dbscan(x, 1.0, 3), '{"labels": [0, 0, 0, 1, 1, 1, -1], "eps": 1.0, "min_pts": 3}'),
+        (lambda x: gmm_predict(gmm(x, 2, seed=3), x)[0], "[0, 0, 0, 1, 1, 1, 1]"),
+        (lambda x: cut(agglomerative(x, Linkage.AVERAGE), 3), "[0, 0, 0, 1, 1, 1, 2]"),
+    ], ids=["kmeans", "dbscan", "gmm_predict", "cut"])
+    def test_read_only_int64_per_row(self, fit, text):
+        result = fit(SEVEN)
+        labels = getattr(result, "labels", result)
+        assert labels.dtype == np.int64
+        assert labels.shape == (len(SEVEN),)
+        with pytest.raises(ValueError, match="read-only"):
+            labels[0] = 1
+        doc = result.to_dict() if hasattr(result, "to_dict") else labels.tolist()
+        assert json.dumps(doc) == text
 
 
 class TestMemoryOrder:
