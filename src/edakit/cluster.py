@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -533,10 +533,15 @@ class GmmModel:
     seed: int
     ridge: float
     log_likelihood_history: tuple[float, ...]
+    stop_reason: str               # "tolerance", "max_iter" or "likelihood_fell"
 
     @property
     def n_components(self) -> int:
         return len(self.weights)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tolerance"
 
     def to_dict(self) -> dict:
         return {
@@ -545,17 +550,65 @@ class GmmModel:
             "covariances": self.covariances.tolist(),
             "log_likelihood": self.log_likelihood,
             "iterations": self.iterations,
+            "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "seed": self.seed,
         }
 
 
+def _cholesky(cov: np.ndarray) -> list[list[float]]:
+    """The lower Cholesky factor of a symmetric positive definite d x d
+    matrix, as rows of Python floats (scalar code: d is small)."""
+    a = cov.tolist()
+    d = len(a)
+    chol = [[0.0] * d for _ in range(d)]
+    for j in range(d):
+        s = a[j][j]
+        for p in range(j):
+            s -= chol[j][p] * chol[j][p]
+        if not s > 0:
+            raise ValueError("covariance is not positive definite; increase ridge")
+        chol[j][j] = math.sqrt(s)
+        for i in range(j + 1, d):
+            s = a[i][j]
+            for p in range(j):
+                s -= chol[i][p] * chol[j][p]
+            chol[i][j] = s / chol[j][j]
+    return chol
+
+
 def _log_gaussian(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Log density of N(mean, cov) at each row of x: a forward substitution
+    through the Cholesky factor, one elementwise pass per coordinate."""
     d = x.shape[1]
-    chol = np.linalg.cholesky(cov)
-    solved = np.linalg.solve(chol, (x - mean).T)
-    maha = np.sum(solved**2, axis=0)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    chol = _cholesky(cov)
+    diff = np.subtract(x.T, mean[:, None], order="C")  # one contiguous row per coordinate
+    maha = np.zeros(x.shape[0])
+    for i in range(d):
+        z = diff[i]
+        for p in range(i):
+            z -= chol[i][p] * diff[p]
+        z /= chol[i][i]
+        maha += z * z
+    log_det = 2.0 * math.fsum(math.log(chol[j][j]) for j in range(d))
     return -0.5 * (d * math.log(2.0 * math.pi) + log_det + maha)
+
+
+def _gram(dt: np.ndarray, w=1.0) -> np.ndarray:
+    """The d x d sum over rows r of w[r] * dt[:, r] * dt[:, r].T, for dt
+    holding one contiguous row per coordinate.
+
+    Each entry is one pairwise np.sum of an elementwise product, taken once
+    for both triangles, so the result is exactly symmetric and its bits do
+    not depend on the BLAS kernel.
+    """
+    d = len(dt)
+    out = np.empty((d, d))
+    for i in range(d):
+        wi = w * dt[i]
+        for j in range(i, d):
+            out[i, j] = out[j, i] = np.sum(wi * dt[j])
+    return out
 
 
 def _log_resp(x, weights, means, covs):
@@ -573,67 +626,77 @@ def gmm(
     k: int,
     seed: int,
     max_iter: int = 200,
-    tol: float = 1e-8,
+    tol: float = 1e-3,
     ridge: float = 1e-6,
 ) -> GmmModel:
     """Full-covariance Gaussian mixture fit by expectation-maximization.
 
     Initialization comes from a k-means run with the same seed. The E step
-    works in log space (log-sum-exp); every M step symmetrizes the
-    covariances and adds ridge * I, which keeps them positive definite.
-    Stops when the log-likelihood gain drops below tol.
+    works in log space (log-sum-exp); every M step adds ridge * I to the
+    covariances, which keeps them positive definite.
+
+    The fit stops when the log-likelihood gain per sample, (ll - ll_prev) / n,
+    falls below tol, as scikit-learn's GaussianMixture does, or after
+    max_iter E steps. ``stop_reason`` says which: ``tolerance`` (the only
+    one that counts as ``converged``), ``likelihood_fell`` when the
+    log-likelihood fell by tol per sample or more, or ``max_iter``. A tol of
+    -inf runs every iteration.
+
+    No step goes through LAPACK or BLAS: the Cholesky factors are scalar
+    code and every sum over rows is a pairwise np.sum of elementwise
+    products, so the fitted bits do not depend on the BLAS kernel.
 
     Raises:
-        ValueError: a component's weight collapses below 1e-12; use a larger
-            ridge or a smaller k.
+        ValueError: a component's weight collapses below 1e-12, or a
+            covariance is not positive definite; use a larger ridge or a
+            smaller k.
     """
     x = _validate_matrix(data)
     n, d = x.shape
     km = kmeans(x, k, seed)
+    xt = x.T.copy()  # one contiguous row per coordinate
     counts = np.bincount(km.labels, minlength=k)
     weights = np.maximum(counts, 1).astype(float)
     weights /= weights.sum()
     means = km.centroids.copy()
     covs = np.empty((k, d, d))
     for j in range(k):
-        members = x[km.labels == j] if counts[j] else x
-        diff = members - members.mean(axis=0)
-        covs[j] = diff.T @ diff / len(members) + ridge * np.eye(d)
+        members = xt[:, km.labels == j] if counts[j] else xt
+        diff = members - members.mean(axis=1, keepdims=True)
+        covs[j] = _gram(diff) / members.shape[1] + ridge * np.eye(d)
 
     history: list[float] = []
-    ll_prev: Optional[float] = None
-    iterations = 0
+    stop_reason = "max_iter"
     for it in range(1, max_iter + 1):
         log_resp, ll = _log_resp(x, weights, means, covs)
         history.append(ll)
-        iterations = it
-        if ll_prev is not None and ll - ll_prev < tol:
+        gain = (ll - history[-2]) / n if it > 1 else math.inf
+        if gain < tol:
+            stop_reason = "tolerance" if abs(gain) < tol else "likelihood_fell"
             break
         if it == max_iter:
             break
-        resp = np.exp(log_resp)
-        nj = resp.sum(axis=0)
+        resp = np.exp(log_resp).T.copy()  # one contiguous row per component
+        nj = resp.sum(axis=1)
         if np.any(nj / n < 1e-12):
             raise ValueError(
                 "component collapse during EM; increase ridge or reduce k"
             )
         weights = nj / n
-        means = (resp.T @ x) / nj[:, None]
+        means = np.array([[np.sum(r * c) for c in xt] for r in resp]) / nj[:, None]
         for j in range(k):
-            diff = x - means[j]
-            cov = (resp[:, j][:, None] * diff).T @ diff / nj[j]
-            covs[j] = (cov + cov.T) / 2.0 + ridge * np.eye(d)
-        ll_prev = ll
+            covs[j] = _gram(xt - means[j][:, None], resp[j]) / nj[j] + ridge * np.eye(d)
 
     return GmmModel(
         weights=weights,
         means=means,
         covariances=covs,
         log_likelihood=history[-1],
-        iterations=iterations,
+        iterations=len(history),
         seed=seed,
         ridge=ridge,
         log_likelihood_history=tuple(history),
+        stop_reason=stop_reason,
     )
 
 

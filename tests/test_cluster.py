@@ -9,6 +9,8 @@ import pytest
 
 from edakit.cluster import (
     Linkage,
+    _cholesky,
+    _log_gaussian,
     agglomerative,
     cut,
     dbscan,
@@ -17,6 +19,7 @@ from edakit.cluster import (
     kmeans,
 )
 from edakit.pca import fit_pca, transform_pca
+from edakit.table import numeric_values, read_csv
 
 from _oracles import o_agglomerative, o_agglomerative_scan, o_cut, o_dbscan_lists
 
@@ -470,6 +473,83 @@ class TestGmm:
         m = gmm(data, 2, seed=8)
         labels, resp = gmm_predict(m, data)
         assert np.array_equal(labels, tuple(int(v) for v in np.argmax(resp, axis=1)))
+
+
+def well_conditioned(rng, d):
+    """A random d x d covariance with eigenvalues in [1, 2]."""
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    return (q * rng.uniform(1.0, 2.0, d)) @ q.T
+
+
+class TestGmmFit:
+    @pytest.mark.parametrize("d", range(1, 15))
+    def test_cholesky_matches_numpy(self, d):
+        cov = well_conditioned(np.random.default_rng(d), d)
+        assert np.allclose(_cholesky(cov), np.linalg.cholesky(cov), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", range(1, 15))
+    def test_log_gaussian_matches_scipy(self, d):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(100 + d)
+        mean = rng.normal(0, 3, d)
+        cov = well_conditioned(rng, d)
+        x = rng.normal(0, 3, (60, d))
+        want = stats.multivariate_normal(mean, cov).logpdf(x).reshape(-1)
+        assert np.allclose(_log_gaussian(x, mean, cov), want, rtol=1e-12, atol=0)
+
+    # the 200-iteration cluster_gmm snapshot (--k 2 --seed 7 on the fixture's
+    # CreditScore,Age) of the fit that went through LAPACK and BLAS and
+    # stopped on an absolute gain of 1e-8
+    LAPACK_FIT = {
+        "weights": [0.40776572323370225, 0.5922342767662981],
+        "means": [[566.1159242832706, 40.34702226920437], [715.9283873530848, 36.57820584508314]],
+        "covariances": [
+            [[5579.44438072807, 118.43001329744973], [118.43001329744973, 77.531583819479]],
+            [[5092.676397236554, 134.86612320579582], [134.86612320579582, 87.96669986393937]],
+        ],
+        "log_likelihood": -1938.1953837702854,
+    }
+    LAPACK_FIT_LABELS = (
+        "1110011111010011101111100110101110011110111110001111010101111001001001100011110010110111001101010101"
+        "1010001110111011000010101110010001111111111100110101011001101011110011001001001111110010110111100011"
+    )
+
+    def test_every_iteration_reproduces_the_lapack_fit(self, fixture_csv):
+        t = read_csv(fixture_csv)
+        x = np.column_stack([numeric_values(t.column(c)) for c in ("CreditScore", "Age")])
+        m = gmm(x, 2, seed=7, tol=-math.inf)
+        assert (m.iterations, m.stop_reason, m.converged) == (200, "max_iter", False)
+        doc = m.to_dict()
+        for key, want in self.LAPACK_FIT.items():
+            assert np.allclose(doc[key], want, rtol=1e-13, atol=0), key
+        labels, _ = gmm_predict(m, x)
+        assert "".join(map(str, labels.tolist())) == self.LAPACK_FIT_LABELS
+
+    def test_tied_column_stops_on_tolerance(self):
+        # about 30% of the rows share Balance == 0, and one component collapses onto them
+        x = balance_age(3000, seed=0)
+        m = gmm(x, 3, seed=7)
+        assert (m.stop_reason, m.converged) == ("tolerance", True)
+        assert m.iterations <= 20
+        assert min(c[0, 0] for c in m.covariances) < 1e-5
+
+    def test_rounding_fall_at_a_fixed_point_counts_as_converged(self):
+        # one component sits at its fixed point after one M step; the next
+        # log-likelihood moves by rounding alone, down for some of these seeds
+        for seed in range(10):
+            m = gmm(blobs(seed, [(2, 3)], n_per=40), 1, seed=5)
+            assert (m.iterations, m.stop_reason, m.converged) == (2, "tolerance", True)
+
+    def test_stop_reasons(self):
+        data = blobs(0, [(0, 0), (2, 1)], n_per=15, spread=0.5)
+        # a ridge of 1 on clusters of spread 0.5 makes the first step lose
+        # about 0.03 per sample
+        fell = gmm(data, 2, seed=0, ridge=1.0)
+        assert (fell.iterations, fell.stop_reason, fell.converged) == (2, "likelihood_fell", False)
+        capped = gmm(data, 2, seed=0, max_iter=3, tol=-math.inf)
+        assert (capped.iterations, capped.stop_reason, capped.converged) == (3, "max_iter", False)
+        doc = capped.to_dict()
+        assert (doc["converged"], doc["stop_reason"]) == (False, "max_iter")
 
 
 SEVEN = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [9.0, 9.0], [9.0, 10.0], [10.0, 9.0], [4.0, 15.0]])
