@@ -29,7 +29,8 @@ A kernel skips the sizes whose estimated time exceeds CAP_S seconds,
 estimated as its last median times the cube of the size ratio (the worst
 growth of the kernels timed). Agglomerative clustering also skips the sizes
 whose distance matrix would exceed MAX_MB: it peaks at about 8 n^2 bytes
-plus a block of rows of about 1 MB.
+plus the running sums and one coordinate term of a block of rows, under
+1 MB.
 
 Prints one JSON object. Usage (from the repository root):
 

@@ -5,8 +5,10 @@ Labels are read-only int64 arrays with one entry per row, as ``TimeSeries``
 values are; ``to_dict`` writes them as lists. Every stochastic fit takes an
 integer seed feeding the package's portable SplitMix64 generator, so
 identical seed and input give bit-identical results, whatever the array's
-memory order: every fit reads its data in C order. Distances are Euclidean
-throughout, and every squared distance is summed by one helper, ``_sq``.
+memory order: every fit reads its matrix as d contiguous coordinate rows
+(d x n), laid out by one helper, ``_rows``. Distances are Euclidean
+throughout, and every squared distance is summed by one helper, ``_sq``, one
+coordinate row at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pca import _validate_matrix
+from .pca import _gram, _validate_matrix
 from .rng import SplitMix64
 
 
@@ -47,25 +49,54 @@ class KMeansResult:
         }
 
 
-def _sq(a: np.ndarray, b) -> np.ndarray:
-    """Squared Euclidean distances between a and b along their last axis,
-    broadcast over the others."""
-    return np.sum(np.subtract(a, b) ** 2, axis=-1)
+def _rows(data) -> np.ndarray:
+    """The n x d matrix data, validated, as d contiguous coordinate rows."""
+    return np.ascontiguousarray(_validate_matrix(data).T)
 
 
-def _kmeanspp_init(x: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
-    n = x.shape[0]
-    centroids = np.empty((k, x.shape[1]))
-    centroids[0] = x[rng.randint(n)]
-    d2 = _sq(x, centroids[0])
+def _sq(at, bt) -> np.ndarray:
+    """Squared Euclidean distances between points given as coordinate rows:
+    the sum over a of (at[a] - bt[a])**2, broadcast over the trailing axes.
+
+    The terms are added in the order numpy's pairwise sum takes along a
+    short contiguous axis: one after another below 8 terms; from 8 on, eight
+    running sums combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    remaining terms one after another. So the result has the bits of
+    np.sum((a - b) ** 2, axis=-1) over n x d rows, for d up to numpy's
+    pairwise block of 128 terms, without the d-wide temporaries.
+    """
+    def term(a):
+        t = at[a] - bt[a]
+        return np.square(t, out=t)
+
+    d = len(at)
+    if d < 8:
+        acc = term(0)
+        for a in range(1, d):
+            acc += term(a)
+        return acc
+    r = [term(a) for a in range(8)]
+    for a in range(8, d - d % 8):
+        r[a % 8] += term(a)
+    acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for a in range(d - d % 8, d):
+        acc += term(a)
+    return acc
+
+
+def _kmeanspp_init(xt: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
+    """k starting centres as coordinate rows (d x k)."""
+    n = xt.shape[1]
+    ct = np.empty((len(xt), k))
+    ct[:, 0] = xt[:, rng.randint(n)]
+    d2 = _sq(xt, ct[:, 0])
     for j in range(1, k):
         # the j centres are distinct (each had a positive weight) and every point sits on one
         if not d2.any():
             raise ValueError(f"k={k} exceeds distinct points ({j})")
-        idx = rng.choice_weighted(d2.tolist())
-        centroids[j] = x[idx]
-        d2 = np.minimum(d2, _sq(x, centroids[j]))
-    return centroids
+        ct[:, j] = xt[:, rng.choice_weighted(d2.tolist())]
+        d2 = np.minimum(d2, _sq(xt, ct[:, j]))
+    return ct
 
 
 def kmeans(
@@ -84,40 +115,43 @@ def kmeans(
     reassignment is reseeded to the point currently farthest from its own
     centroid.
     """
-    x = _validate_matrix(data)
-    n = x.shape[0]
+    xt = _rows(data)
+    n = xt.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside valid range 1..{n}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
 
     rng = SplitMix64(seed)
-    centroids = _kmeanspp_init(x, k, rng)
+    ct = _kmeanspp_init(xt, k, rng)  # centroids as coordinate rows
     history: list[float] = []
     labels = np.full(n, -1, dtype=int)
     iterations = 0
     for _ in range(max_iter):
-        d2 = _sq(x[:, None], centroids)
+        d2 = _sq(xt[:, :, None], ct)
         new_labels = np.argmin(d2, axis=1)
         history.append(float(np.sum(d2[np.arange(n), new_labels])))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
         iterations += 1
+        # each cluster's sum adds its rows in row order; an empty cluster
+        # divides 0 by 1 and is reseeded below
         counts = np.bincount(labels, minlength=k)
-        new_centroids = centroids.copy()
-        for j in np.flatnonzero(counts):
-            new_centroids[j] = x[labels == j].mean(axis=0)
+        new_ct = np.array([np.bincount(labels, row, k) for row in xt]) / np.maximum(counts, 1)
         empty = np.flatnonzero(counts == 0)
         if len(empty):  # ties between distances go to the lowest row
             far = np.argsort(-d2[np.arange(n), labels], kind="stable")[: len(empty)]
-            new_centroids[empty] = x[far]
-        shift = float(np.max(np.sqrt(_sq(new_centroids, centroids))))
-        centroids = new_centroids
+            new_ct[:, empty] = xt[:, far]
+        shift = float(np.max(np.sqrt(_sq(new_ct, ct))))
+        ct = new_ct
         if shift < tol:
-            d2 = _sq(x[:, None], centroids)
+            d2 = _sq(xt[:, :, None], ct)
             labels = np.argmin(d2, axis=1)
             history.append(float(np.sum(d2[np.arange(n), labels])))
             break
 
+    centroids = np.ascontiguousarray(ct.T)
     return KMeansResult(labels=labels, centroids=centroids, inertia=history[-1],
                         iterations=iterations, seed=seed, inertia_history=tuple(history))
 
@@ -125,8 +159,10 @@ def kmeans(
 # ---------------------------------------------------------------------------
 # agglomerative hierarchical clustering
 
-# agglomerative builds its distance matrix in blocks of rows whose n x d
-# temporaries hold at most this many float64 elements (512 KiB)
+# agglomerative builds its distance matrix in blocks of rows whose
+# rows x n x d coordinate terms number at most this many float64 elements
+# (512 KiB); _sq holds a block's running sums and one term at a time, under
+# 1 MB together
 _CHUNK = 1 << 16
 
 
@@ -180,20 +216,21 @@ def agglomerative(data: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendr
         ValueError: fewer than 2 points, non-finite cells, or a squared
             distance that overflows float64 (rescale the data).
     """
-    x = _validate_matrix(data)
-    n = x.shape[0]
+    xt = _rows(data)
+    d, n = xt.shape
     if n < 2:
         raise ValueError("agglomerative clustering needs >= 2 points")
 
     dist = np.empty((n, n))
-    rows = max(1, _CHUNK // max(n * x.shape[1], 1))
+    rows = max(1, _CHUNK // (n * d))
     for lo in range(0, n, rows):
         with np.errstate(over="ignore"):
-            block = _sq(x[lo:lo + rows, None], x)
+            block = _sq(xt[:, lo:lo + rows, None], xt[:, None])
         if not np.all(np.isfinite(block)):
             raise ValueError("pairwise squared distances overflow float64; rescale the data")
         dist[lo:lo + rows] = block
     np.sqrt(dist, out=dist)
+    del xt, block  # the merges read dist alone
 
     # slot s holds one live cluster; a retired slot's row and column are
     # +inf, as is the diagonal, so neither can hold the minimum; rowmin[s]
@@ -271,8 +308,8 @@ def _number_by_row(comp: np.ndarray, row: np.ndarray) -> np.ndarray:
 # DBSCAN
 
 # pairs per chunk in dbscan's searches: with their index arrays and the
-# d-wide coordinate gathers, a chunk's temporaries stay near 1 MB for a few
-# columns, however dense the data
+# d coordinate rows gathered for them, a chunk's temporaries stay near 1 MB
+# for a few columns, however dense the data
 _PAIRS = 1 << 12
 
 
@@ -307,15 +344,15 @@ def dbscan(data: np.ndarray, eps: float, min_pts: int) -> DbscanResult:
     counting, and core cells join by union-find with an early exit. Memory
     is O(n) plus temporaries of a fixed size, however dense the data.
     """
-    x = _validate_matrix(data)
+    xt = _rows(data)
     if not eps > 0:
         raise ValueError("eps must be > 0")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
-    n = x.shape[0]
+    n = xt.shape[1]
     if n == 0:
         return DbscanResult(np.empty(0, dtype=np.int64), eps, min_pts)
-    g = _Grid(x, eps)
+    g = _Grid(xt, eps)
     eps2 = g.eps2
 
     # core points: a tight cell of >= min_pts points is all core; any other
@@ -406,16 +443,17 @@ def _ranges(first: np.ndarray, length: np.ndarray, cap: int):
 
 
 class _Grid:
-    """The rows of x bucketed into cubic cells, for DBSCAN's pair searches.
+    """The points of the coordinate rows xt bucketed into cubic cells, for
+    DBSCAN's pair searches.
 
     Points are held at positions sorted by cell, so a cell is a run of
-    positions. Every "within eps" decision is ``_sq(a, b) <= eps2``, the
-    arithmetic of ``_sq(x, x[i])`` applied to single pairs, whatever the
-    array's memory order. Pair temporaries hold at most ``_PAIRS`` pairs.
+    positions; ``xt`` keeps the coordinate rows in that order. Every "within
+    eps" decision is ``_sq(a, b) <= eps2`` on the coordinate rows of single
+    pairs. Pair temporaries hold at most ``_PAIRS`` pairs.
     """
 
-    def __init__(self, x: np.ndarray, eps: float):
-        n, d = x.shape
+    def __init__(self, xt: np.ndarray, eps: float):
+        d, n = xt.shape
         self.eps2 = eps * eps
 
         # a pair with _sq <= eps2 is closer than reach * (1 + 2**-50) in each
@@ -424,31 +462,31 @@ class _Grid:
         # x / side is off by at most 2**-13 cells and such a pair lies at
         # most r = isqrt(d) + 1 cells apart in each coordinate
         reach = math.inf if math.isinf(self.eps2) else max(eps, 2.0**-500)
-        maxabs = float(np.abs(x).max(initial=0.0))
-        side = max(reach / math.sqrt(max(d, 1)), maxabs * 2.0**-40)
+        maxabs = float(np.abs(xt).max(initial=0.0))
+        side = max(reach / math.sqrt(d), maxabs * 2.0**-40)
         self.r = math.isqrt(d) + 1
-        u = np.floor(x / side).astype(np.int64)
+        u = np.floor(xt / side).astype(np.int64)  # cell coordinates, one row per axis
 
         # the two coordinates with the most distinct cells lead the sort and
         # the range search in cell_pairs; fewer than two are padded with 0
-        distinct = [len(np.unique(u[:, k])) for k in range(d)]
-        u = u[:, np.argsort(distinct, kind="stable")[::-1]]
+        distinct = [len(np.unique(row)) for row in u]
+        u = u[np.argsort(distinct, kind="stable")[::-1]]
         if d < 2:
-            u = np.hstack([u, np.zeros((n, 2 - d), dtype=np.int64)])
-        self.row = np.lexsort(u.T[::-1])  # input row at each position
-        u = u[self.row]
+            u = np.vstack([u, np.zeros((2 - d, n), dtype=np.int64)])
+        self.row = np.lexsort(u[::-1])  # input row at each position
+        u = u[:, self.row]
         new = np.ones(n, dtype=bool)
-        new[1:] = np.any(u[1:] != u[:-1], axis=1)
+        new[1:] = np.any(u[:, 1:] != u[:, :-1], axis=0)
         self.first = np.flatnonzero(new)  # first position of each cell
         self.size = np.diff(np.append(self.first, n))
         self.cell = np.cumsum(new) - 1  # cell at each position
-        self.coords = u[self.first]
-        self.x = x[self.row]
+        self.coords = np.ascontiguousarray(u[:, self.first].T)  # one row per cell
+        self.xt = xt[:, self.row]
 
         # rounding is monotone, so when the corners of a cell's bounding box
         # are within eps, so is every pair in the cell
-        lo = np.minimum.reduceat(self.x, self.first, axis=0)
-        hi = np.maximum.reduceat(self.x, self.first, axis=0)
+        lo = np.minimum.reduceat(self.xt, self.first, axis=1)
+        hi = np.maximum.reduceat(self.xt, self.first, axis=1)
         self.tight = _sq(hi, lo) <= self.eps2
 
     def cores_first(self, core: np.ndarray) -> np.ndarray:
@@ -456,7 +494,7 @@ class _Grid:
         position) first, rows ascending within each part. Sets self.core, the
         flags in the new order, and returns the number of cores per cell."""
         order = np.lexsort((~core, self.cell))
-        self.row, self.x, self.core = self.row[order], self.x[order], core[order]
+        self.row, self.xt, self.core = self.row[order], self.xt[:, order], core[order]
         return np.bincount(self.cell[self.core], minlength=len(self.first))
 
     def cell_pairs(self, src: np.ndarray, dst: np.ndarray, half: bool = False):
@@ -516,7 +554,7 @@ class _Grid:
                 rp, rc = p[:batch], c[:batch]
                 for k2, q in _ranges(self.first[rc], dst_size[rc], _PAIRS):
                     pp = rp[k2]
-                    yield pp, q, _sq(self.x[pp], self.x[q])
+                    yield pp, q, _sq(self.xt[:, pp], self.xt[:, q])
                 p, c = p[batch:], c[batch:]
 
 
@@ -577,13 +615,14 @@ def _cholesky(cov: np.ndarray) -> list[list[float]]:
     return chol
 
 
-def _log_gaussian(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log density of N(mean, cov) at each row of x: a forward substitution
-    through the Cholesky factor, one elementwise pass per coordinate."""
-    d = x.shape[1]
+def _log_gaussian(xt: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Log density of N(mean, cov) at each point of the coordinate rows xt:
+    a forward substitution through the Cholesky factor, one elementwise pass
+    per coordinate."""
+    d, n = xt.shape
     chol = _cholesky(cov)
-    diff = np.subtract(x.T, mean[:, None], order="C")  # one contiguous row per coordinate
-    maha = np.zeros(x.shape[0])
+    diff = xt - mean[:, None]
+    maha = np.zeros(n)
     for i in range(d):
         z = diff[i]
         for p in range(i):
@@ -594,28 +633,11 @@ def _log_gaussian(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarra
     return -0.5 * (d * math.log(2.0 * math.pi) + log_det + maha)
 
 
-def _gram(dt: np.ndarray, w=1.0) -> np.ndarray:
-    """The d x d sum over rows r of w[r] * dt[:, r] * dt[:, r].T, for dt
-    holding one contiguous row per coordinate.
-
-    Each entry is one pairwise np.sum of an elementwise product, taken once
-    for both triangles, so the result is exactly symmetric and its bits do
-    not depend on the BLAS kernel.
-    """
-    d = len(dt)
-    out = np.empty((d, d))
-    for i in range(d):
-        wi = w * dt[i]
-        for j in range(i, d):
-            out[i, j] = out[j, i] = np.sum(wi * dt[j])
-    return out
-
-
-def _log_resp(x, weights, means, covs):
-    n, k = x.shape[0], len(weights)
+def _log_resp(xt, weights, means, covs):
+    n, k = xt.shape[1], len(weights)
     log_prob = np.empty((n, k))
     for j in range(k):
-        log_prob[:, j] = math.log(weights[j]) + _log_gaussian(x, means[j], covs[j])
+        log_prob[:, j] = math.log(weights[j]) + _log_gaussian(xt, means[j], covs[j])
     row_max = log_prob.max(axis=1, keepdims=True)
     log_norm = row_max[:, 0] + np.log(np.sum(np.exp(log_prob - row_max), axis=1))
     return log_prob - log_norm[:, None], float(np.sum(log_norm))
@@ -649,12 +671,13 @@ def gmm(
     Raises:
         ValueError: a component's weight collapses below 1e-12, or a
             covariance is not positive definite; use a larger ridge or a
-            smaller k.
+            smaller k; or max_iter < 1.
     """
-    x = _validate_matrix(data)
-    n, d = x.shape
-    km = kmeans(x, k, seed)
-    xt = x.T.copy()  # one contiguous row per coordinate
+    xt = _rows(data)
+    d, n = xt.shape
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    km = kmeans(xt.T, k, seed)
     counts = np.bincount(km.labels, minlength=k)
     weights = np.maximum(counts, 1).astype(float)
     weights /= weights.sum()
@@ -668,7 +691,7 @@ def gmm(
     history: list[float] = []
     stop_reason = "max_iter"
     for it in range(1, max_iter + 1):
-        log_resp, ll = _log_resp(x, weights, means, covs)
+        log_resp, ll = _log_resp(xt, weights, means, covs)
         history.append(ll)
         gain = (ll - history[-2]) / n if it > 1 else math.inf
         if gain < tol:
@@ -705,12 +728,12 @@ def gmm_predict(model: GmmModel, data: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Responsibility rows sum to 1.
     """
-    x = _validate_matrix(data)
-    if x.shape[1] != model.means.shape[1]:
+    xt = _rows(data)
+    if len(xt) != model.means.shape[1]:
         raise ValueError(
-            f"data has {x.shape[1]} features, model expects {model.means.shape[1]}"
+            f"data has {len(xt)} features, model expects {model.means.shape[1]}"
         )
-    log_resp, _ = _log_resp(x, model.weights, model.means, model.covariances)
+    log_resp, _ = _log_resp(xt, model.weights, model.means, model.covariances)
     resp = np.exp(log_resp)
     labels = np.argmax(resp, axis=1)
     labels.flags.writeable = False

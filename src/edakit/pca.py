@@ -110,14 +110,35 @@ class PcaModel:
 
 
 def _validate_matrix(data: np.ndarray) -> np.ndarray:
-    # every fit reads C order: numpy sums pairwise only along the axis that
-    # is contiguous in memory, so the layout would change the rounding
+    # every fit reads one layout, whatever the caller's memory order: numpy
+    # sums pairwise only along the axis that is contiguous in memory, so the
+    # layout would change the rounding (the clustering fits then lay the C
+    # order matrix out as coordinate rows)
     x = np.ascontiguousarray(data, dtype=float)
     if x.ndim != 2:
         raise ValueError("data must be a 2-D matrix")
+    if x.shape[1] == 0:
+        raise ValueError("data must have at least one column")
     if not np.all(np.isfinite(x)):
         raise ValueError("data contains missing or non-finite cells; impute first")
     return x
+
+
+def _gram(dt: np.ndarray, w=1.0) -> np.ndarray:
+    """The d x d sum over rows r of w[r] * dt[:, r] * dt[:, r].T, for dt
+    holding one contiguous row per coordinate.
+
+    Each entry is one pairwise np.sum of an elementwise product, taken once
+    for both triangles, so the result is exactly symmetric and its bits do
+    not depend on the BLAS kernel.
+    """
+    d = len(dt)
+    out = np.empty((d, d))
+    for i in range(d):
+        wi = w * dt[i]
+        for j in range(i, d):
+            out[i, j] = out[j, i] = np.sum(wi * dt[j])
+    return out
 
 
 def fit_pca(data: np.ndarray, k: int, standardize: bool = False) -> PcaModel:

@@ -11,6 +11,7 @@ from edakit.cluster import (
     Linkage,
     _cholesky,
     _log_gaussian,
+    _sq,
     agglomerative,
     cut,
     dbscan,
@@ -106,11 +107,13 @@ class TestKMeans:
             assert np.array_equal(reassigned, r.labels)
 
     def test_centroids_are_cluster_means(self):
-        data = blobs(3, [(0, 0), (8, 8)])
-        r = kmeans(data, 2, seed=11)
-        labels = np.array(r.labels)
-        for j in range(2):
-            assert np.allclose(r.centroids[j], data[labels == j].mean(axis=0), atol=1e-9)
+        # at d = 1 numpy's mean sums the rows pairwise, the centroid update in
+        # row order, so the two may differ in their last bits
+        for data in (blobs(3, [(0, 0), (8, 8)]), blobs(3, [(0,), (8,)])):
+            r = kmeans(data, 2, seed=11)
+            labels = np.array(r.labels)
+            for j in range(2):
+                assert np.allclose(r.centroids[j], data[labels == j].mean(axis=0), atol=1e-9)
 
     def test_seeded_determinism(self):
         data = blobs(4, [(0, 0), (3, 3), (9, 0)], n_per=25)
@@ -126,6 +129,51 @@ class TestKMeans:
         r = kmeans(data, 2, seed=9)
         d2 = ((data - r.centroids[np.array(r.labels)]) ** 2).sum()
         assert math.isclose(r.inertia, float(d2), rel_tol=1e-12)
+
+
+class TestSquaredDistanceKernel:
+    # _sq adds one coordinate row at a time in numpy's pairwise order; it must
+    # keep the bits of the broadcast form it replaced, in each of its uses
+    @staticmethod
+    def broadcast(a, b):
+        return np.sum(np.subtract(a, b) ** 2, axis=-1)
+
+    @pytest.mark.parametrize("d", range(1, 30))
+    def test_matches_the_broadcast_sum(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.normal(0, 1, (2000, d)) * np.geomspace(1e-3, 1e3, d) + rng.normal(0, 10, d)
+        xt = np.ascontiguousarray(x.T)
+        centroids = x[rng.choice(len(x), 8, replace=False)]
+        ct = np.ascontiguousarray(centroids.T)
+        p, q = rng.integers(0, len(x), (2, 5000))
+        shapes = {
+            "point x centroid": (_sq(xt[:, :, None], ct), self.broadcast(x[:, None], centroids)),
+            "one centre": (_sq(xt, ct[:, 0]), self.broadcast(x, centroids[0])),
+            "block x all": (_sq(xt[:, 100:140, None], xt[:, None]), self.broadcast(x[100:140, None], x)),
+            "gathered pairs": (_sq(xt[:, p], xt[:, q]), self.broadcast(x[p], x[q])),
+        }
+        assert [name for name, (got, want) in shapes.items() if got.tobytes() != want.tobytes()] == []
+
+
+class TestFitArguments:
+    @pytest.mark.parametrize("fit", [
+        lambda x: kmeans(x, 1, seed=1),
+        lambda x: agglomerative(x),
+        lambda x: dbscan(x, 1.0, 2),
+        lambda x: gmm(x, 1, seed=1),
+        lambda x: fit_pca(x, 1),
+    ], ids=["kmeans", "agglomerative", "dbscan", "gmm", "fit_pca"])
+    def test_zero_columns_refused(self, fit):
+        with pytest.raises(ValueError, match="at least one column"):
+            fit(np.empty((5, 0)))
+
+    def test_max_iter_below_one_refused(self):
+        for fit in (kmeans, gmm):
+            for max_iter in (0, -1):
+                with pytest.raises(ValueError, match=r"max_iter must be >= 1"):
+                    fit(TOY, 2, seed=1, max_iter=max_iter)
+        assert kmeans(TOY, 2, seed=1, max_iter=1).iterations == 1
+        assert gmm(TOY, 2, seed=1, max_iter=1).iterations == 1
 
 
 class TestAgglomerative:
@@ -495,7 +543,7 @@ class TestGmmFit:
         cov = well_conditioned(rng, d)
         x = rng.normal(0, 3, (60, d))
         want = stats.multivariate_normal(mean, cov).logpdf(x).reshape(-1)
-        assert np.allclose(_log_gaussian(x, mean, cov), want, rtol=1e-12, atol=0)
+        assert np.allclose(_log_gaussian(x.T, mean, cov), want, rtol=1e-12, atol=0)
 
     # the 200-iteration cluster_gmm snapshot (--k 2 --seed 7 on the fixture's
     # CreditScore,Age) of the fit that went through LAPACK and BLAS and
