@@ -34,7 +34,7 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     if not np.allclose(a, a.T, atol=1e-10):
         raise ValueError("matrix must be symmetric")
     v = np.eye(d)
-    norm = np.linalg.norm(a)
+    norm = math.sqrt(float(np.sum(a * a)))
     if norm == 0:
         return np.zeros(d), v
     threshold = tol * norm
@@ -148,6 +148,8 @@ def fit_pca(data: np.ndarray, k: int, standardize: bool = False) -> PcaModel:
     correlation-style PCA), eigendecomposes the sample covariance, and keeps
     the k largest components. Sign convention: each component's
     largest-magnitude entry is positive, making output deterministic.
+    The covariance is a ``_gram`` of the centered coordinate rows, not a BLAS
+    product, so its bits do not depend on the BLAS kernel.
 
     Raises:
         ValueError: k outside 1..min(n-1, d), non-finite cells, or data with
@@ -166,7 +168,7 @@ def fit_pca(data: np.ndarray, k: int, standardize: bool = False) -> PcaModel:
         if np.any(scales == 0):
             raise ValueError("degenerate data: constant column under standardization")
         centered = centered / scales
-    cov = centered.T @ centered / (n - 1)
+    cov = _gram(np.ascontiguousarray(centered.T)) / (n - 1)
     total = float(np.trace(cov))
     if total == 0:
         raise ValueError("degenerate data: zero total variance")

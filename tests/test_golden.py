@@ -218,7 +218,7 @@ _OPENBLAS_CORES = {"Haswell": "AVX2", "SandyBridge": "AVX"}
 KNOWN_DISPATCH_FAILURES = {
     "numpy-baseline": {"cluster_gmm"},
     "openblas-Haswell": set(),
-    "openblas-SandyBridge": {"pca_standardize"},
+    "openblas-SandyBridge": set(),
 }
 
 
@@ -312,6 +312,34 @@ def test_regenerated_snapshot_moved_only_in_skew_moment(name):
     assert now != float(old) and math.isclose(now, float(old), rel_tol=1e-14)
     restored = text.replace(f'"skew_moment": {now!r},', f'"skew_moment": {old},')
     assert hashlib.sha256(restored.encode()).hexdigest() == old_hash
+
+
+# pca_standardize as it was when fit_pca formed its covariance with BLAS
+# (centered.T @ centered): the sha256 of its stdout and the fitted numbers
+# that moved when the covariance went through pca._gram.
+PCA_BLAS = {
+    "sha256": "c41334d1e1bb4f337a1d1c9340cf2db422a6f8b8535505ab7e94208c0a71f943",
+    "components": [
+        [-0.5151272740989034, -0.13910971915289455, -0.039774190938393635,
+         0.4739139968923975, 0.6731787441504148, -0.18959507700722386],
+        [-0.36239744171462623, -0.35339043933540154, 0.7841045143791361,
+         0.08036301757861979, -0.32184585113257524, 0.13755157458092296],
+    ],
+    "explained_variance": [1.1766040779094555, 1.096432495911539],
+    "explained_ratio": [0.19610067965157574, 0.18273874931858966],
+}
+
+
+def test_pca_snapshot_moved_only_in_fitted_numbers():
+    text = read_golden("pca_standardize")["stdout"].decode()
+    doc = json.loads(text)
+    assert np.allclose(doc["components"], PCA_BLAS["components"], rtol=0, atol=6e-12)
+    for key in ("explained_variance", "explained_ratio"):
+        assert np.allclose(doc[key], PCA_BLAS[key], rtol=4e-16, atol=0), key
+    # every other key (columns, means, scales) keeps the earlier bytes
+    restored = json.dumps({**doc, **{k: v for k, v in PCA_BLAS.items() if k != "sha256"}}, indent=2) + "\n"
+    assert text == json.dumps(doc, indent=2) + "\n"
+    assert hashlib.sha256(restored.encode()).hexdigest() == PCA_BLAS["sha256"]
 
 
 def regenerate() -> None:
