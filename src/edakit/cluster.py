@@ -62,8 +62,10 @@ def _sq(at, bt) -> np.ndarray:
     short contiguous axis: one after another below 8 terms; from 8 on, eight
     running sums combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
     remaining terms one after another. So the result has the bits of
-    np.sum((a - b) ** 2, axis=-1) over n x d rows, for d up to numpy's
-    pairwise block of 128 terms, without the d-wide temporaries.
+    np.sum((a - b) ** 2, axis=-1) over n x d rows without the d-wide
+    temporaries, but only up to numpy's pairwise block of 128 terms: numpy
+    splits longer sums in halves, which this order does not follow. The
+    order is numpy's implementation, not its API; a test pins it.
     """
     def term(a):
         t = at[a] - bt[a]
@@ -71,15 +73,13 @@ def _sq(at, bt) -> np.ndarray:
 
     d = len(at)
     if d < 8:
-        acc = term(0)
-        for a in range(1, d):
-            acc += term(a)
-        return acc
-    r = [term(a) for a in range(8)]
-    for a in range(8, d - d % 8):
-        r[a % 8] += term(a)
-    acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for a in range(d - d % 8, d):
+        acc, rest = term(0), range(1, d)
+    else:
+        r = [term(a) for a in range(8)]
+        for a in range(8, d - d % 8):
+            r[a % 8] += term(a)
+        acc, rest = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])), range(d - d % 8, d)
+    for a in rest:
         acc += term(a)
     return acc
 
@@ -151,8 +151,7 @@ def kmeans(
             history.append(float(np.sum(d2[np.arange(n), labels])))
             break
 
-    centroids = np.ascontiguousarray(ct.T)
-    return KMeansResult(labels=labels, centroids=centroids, inertia=history[-1],
+    return KMeansResult(labels=labels, centroids=np.ascontiguousarray(ct.T), inertia=history[-1],
                         iterations=iterations, seed=seed, inertia_history=tuple(history))
 
 
@@ -353,6 +352,7 @@ def dbscan(data: np.ndarray, eps: float, min_pts: int) -> DbscanResult:
     if n == 0:
         return DbscanResult(np.empty(0, dtype=np.int64), eps, min_pts)
     g = _Grid(xt, eps)
+    del xt  # the grid holds the rows in its own order
     eps2 = g.eps2
 
     # core points: a tight cell of >= min_pts points is all core; any other
