@@ -31,8 +31,8 @@ class ZScore:
     threshold: float = 3.0
 
     def __post_init__(self) -> None:
-        if not self.threshold > 0:
-            raise ValueError("z-score threshold must be > 0")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError("z-score threshold must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class Iqr:
     k: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("IQR multiplier must be >= 0")
+        if not 0 <= self.k < math.inf:
+            raise ValueError("IQR multiplier must be finite and >= 0")
 
 
 OutlierMethod = Union[ZScore, Iqr]

@@ -77,8 +77,8 @@ def _numeric_matrix(t: table.Table, columns: Optional[Sequence[str]]) -> tuple[n
 # to argparse.SUPPRESS, so a namespace holds only the given ones. describe's modes
 # are a schema listing, one --column's summary, and an outlier report by --method.
 _NEEDED = object()
-_DESCRIBE = {"schema": {}, "--column": {}, "iqr": {"method": "iqr", "k": 1.5},
-             "zscore": {"method": "zscore", "threshold": 3.0}}
+_DESCRIBE = {"schema": {}, "--column": {}, "iqr": {"method": "iqr", "k": cleanse.Iqr.k},
+             "zscore": {"method": "zscore", "threshold": cleanse.ZScore.threshold}}
 _CLUSTER = {"kmeans": {"k": _NEEDED}, "hier": {"linkage": "average", "k": None},
             "dbscan": {"eps": _NEEDED, "min_pts": _NEEDED}, "gmm": {"k": _NEEDED}}
 _TIMESERIES = {"ma": {"window": 3}, "smooth": {"alpha": 0.5}, "diff": {"lag": 1},
@@ -251,11 +251,7 @@ def cmd_plot(args) -> int:
         bins = stats.BinCount(args.bins) if args.bins is not None else stats.AutoBins()
         doc = viz.plot_histogram(stats.histogram(c, bins), args.title or c.name)
     elif kind == "box":
-        c = t.column(args.column)
-        summary = stats.summarize(c)
-        rep = cleanse.detect_outliers(c, cleanse.Iqr())
-        beyond = table.numeric_with_mask(c)[0][list(rep.outlier_row_indices)].tolist()
-        doc = viz.plot_box(summary, points_beyond=beyond, title=args.title or c.name)
+        doc = viz.plot_box(t.column(args.column), args.title or args.column)
     elif kind == "bar":
         c = t.column(args.column)
         doc = viz.plot_bar(table.value_counts(c), args.title or c.name)
@@ -299,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     one.add_argument("--column", default=None)
     one.add_argument("--outliers", metavar="COL", default=None, help="emit an outlier report for this column")
     p.add_argument("--method", choices=["iqr", "zscore"], help="outlier method, default iqr")
-    p.add_argument("--k", type=float, help="IQR fence multiplier, default 1.5")
-    p.add_argument("--threshold", type=float, help="z-score threshold, default 3.0")
+    p.add_argument("--k", type=float, help=f"IQR fence multiplier, default {cleanse.Iqr.k}")
+    p.add_argument("--threshold", type=float, help=f"z-score threshold, default {cleanse.ZScore.threshold}")
     p.set_defaults(fn=cmd_describe)
 
     p = sub.add_parser("clean", help="impute, clip outliers, encode; emits cleaned CSV")
@@ -311,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "applied left to right, so a regress: fit sees predictor cells "
                         "filled by an earlier --impute")
     p.add_argument("--clip-outliers", action="append", metavar="COL[:K]",
-                   help="clip IQR outliers (default k=1.5)")
+                   help=f"clip IQR outliers (default k={cleanse.Iqr.k})")
     p.add_argument("--encode", action="append", metavar="COL=KIND", help="onehot|label")
     p.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
     p.set_defaults(fn=cmd_clean)

@@ -151,8 +151,8 @@ class BinWidth:
     width: float
 
     def __post_init__(self) -> None:
-        if not self.width > 0:
-            raise ValueError("bin width must be > 0")
+        if not 0 < self.width < math.inf:
+            raise ValueError("bin width must be finite and > 0")
 
 
 @dataclass(frozen=True)

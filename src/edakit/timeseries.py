@@ -192,14 +192,16 @@ def stationarity_check(
     the last), then compares the spread of segment means against the global
     standard deviation and the spread of segment variances against the
     largest segment variance. Stationary means both relative spreads are
-    within rel_tol. This is a descriptive heuristic, not a statistical
-    test.
+    within rel_tol, which must be >= 0. This is a descriptive heuristic,
+    not a statistical test.
     """
     n = len(s)
     if segments < 2:
         raise ValueError("need at least 2 segments")
     if n < 2 * segments:
         raise ValueError(f"series of length {n} too short for {segments} segments")
+    if not rel_tol >= 0:
+        raise ValueError("rel_tol must be >= 0")
     segs = np.split(s.values, np.arange(1, segments) * (n // segments))
     parts = [(*_centered(seg)[::2], len(seg)) for seg in segs]  # deviations freed at once for reuse
     means = [float(mean) for mean, _, _ in parts]

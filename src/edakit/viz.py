@@ -15,8 +15,9 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .assoc import CorrelationMatrix, _joint_present
-from .stats import Histogram, SummaryStats
-from .table import Column, FrequencyTable
+from .cleanse import Iqr, detect_outliers
+from .stats import Histogram, summarize
+from .table import Column, FrequencyTable, numeric_with_mask
 
 WIDTH = 800
 HEIGHT = 600
@@ -227,27 +228,22 @@ def plot_histogram(h: Histogram, title: str = "") -> SvgDoc:
     return cv.finish()
 
 
-def plot_box(
-    stats: SummaryStats,
-    whisker_k: float = 1.5,
-    points_beyond: Sequence[float] = (),
-    title: str = "",
-) -> SvgDoc:
-    """Box q1..q3 with median line, fence-clamped whiskers, outlier markers.
+def plot_box(c: Column, title: str = "") -> SvgDoc:
+    """Box q1..q3 with median line, whiskers and markers from the column's IQR outlier report.
 
-    Whisker ends clamp the observed min/max to the k*IQR fences (the
-    summary alone does not retain individual in-fence extremes); values in
-    ``points_beyond`` are drawn as markers.
+    Draws ``summarize(c)`` with ``detect_outliers(c, Iqr())``, the report
+    ``eda describe --outliers`` prints, so it needs >= 4 values. Whiskers
+    run to the min and max clamped to the report's bounds; the markers are
+    the column's values at its outlier rows, in row order.
     """
+    stats = summarize(c)
+    rep = detect_outliers(c, Iqr())
     cv = _Canvas(title)
-    lo_fence = stats.q1 - whisker_k * stats.iqr
-    hi_fence = stats.q3 + whisker_k * stats.iqr
-    w_lo = max(stats.min, lo_fence)
-    w_hi = min(stats.max, hi_fence)
-    values = [stats.min, stats.max, w_lo, w_hi, *points_beyond]
-    vlo, vhi = min(values), max(values)
-    pad = 0.05 * (vhi - vlo) if vhi > vlo else 0.5
-    sy = _scale(vlo - pad, vhi + pad, *_Y_AXIS)
+    w_lo = max(stats.min, rep.bounds[0])
+    w_hi = min(stats.max, rep.bounds[1])
+    beyond = numeric_with_mask(c)[0][list(rep.outlier_row_indices)]
+    pad = 0.05 * stats.range if stats.range > 0 else 0.5
+    sy = _scale(stats.min - pad, stats.max + pad, *_Y_AXIS)
     cx = WIDTH / 2
     box_w = 160.0
     cv.line(cx, sy(w_lo), cx, sy(stats.q1))
@@ -257,8 +253,8 @@ def plot_box(
     cv.rect(cx - box_w / 2, sy(stats.q3), box_w, sy(stats.q1) - sy(stats.q3), "#a8c4e0", cls="box")
     cv.line(cx - box_w / 2, sy(stats.median), cx + box_w / 2, sy(stats.median), width=2.0)
     # a zero-span x scale puts every marker at the centre, cx
-    cv.circles(points_beyond, points_beyond, _scale(0.0, 0.0, *_X_AXIS), sy, 3, "#c03028", cls="outlier")
-    for v in (vlo, stats.median, vhi):
+    cv.circles(beyond, beyond, _scale(0.0, 0.0, *_X_AXIS), sy, 3, "#c03028", cls="outlier")
+    for v in (stats.min, stats.median, stats.max):
         cv.text(MARGIN - 6, sy(v) + 4, _tick(v), anchor="end")
     cv.line(MARGIN, MARGIN, MARGIN, HEIGHT - MARGIN)
     return cv.finish()

@@ -65,6 +65,16 @@ class TestDetectOutliers:
             with pytest.raises(ValueError, match="zero variance"):
                 detect_outliers(col(values), ZScore())
 
+    @pytest.mark.parametrize("k", [-1.0, math.nan, math.inf])
+    def test_iqr_refuses_negative_or_non_finite_k(self, k):
+        with pytest.raises(ValueError, match="IQR multiplier must be finite and >= 0"):
+            Iqr(k)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
+    def test_zscore_refuses_non_positive_or_non_finite_threshold(self, threshold):
+        with pytest.raises(ValueError, match="z-score threshold must be finite and > 0"):
+            ZScore(threshold)
+
     def test_missing_never_flagged(self):
         rep = detect_outliers(col([1, 2, None, 3, 4, 100]), Iqr())
         assert 2 not in rep.outlier_row_indices

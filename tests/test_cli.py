@@ -16,6 +16,9 @@ from edakit import assoc, cli, report, table
 from edakit.cli import main
 
 
+SVG = "{http://www.w3.org/2000/svg}"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -82,6 +85,16 @@ class TestDescribe:
         assert (exit_info.value.code, captured.out) == (2, "")
         assert "eda describe: error: argument --outliers: not allowed with argument --column" in captured.err
 
+    @pytest.mark.parametrize("options, message", [
+        (["--outliers", "Balance", "--k", "nan"], "IQR multiplier must be finite and >= 0"),
+        (["--outliers", "Balance", "--k", "inf"], "IQR multiplier must be finite and >= 0"),
+        (["--outliers", "CreditScore", "--method", "zscore", "--threshold", "inf"],
+         "z-score threshold must be finite and > 0"),
+    ])
+    def test_non_finite_fence_exit_2(self, capsys, fixture_csv, options, message):
+        code, out, err = run(capsys, "describe", str(fixture_csv), *options)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestClean:
     def test_impute_zeroes_nulls(self, capsys, tmp_path):
@@ -122,6 +135,13 @@ class TestClean:
         assert code == 2
         assert "would read back trimmed" in err
         assert out_csv.read_bytes() == b"kept\n"
+
+    def test_non_finite_clip_multiplier_exit_2(self, capsys, fixture_csv, tmp_path):
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run(capsys, "clean", str(fixture_csv), "--clip-outliers", "CreditScore:nan",
+                             "--out", str(out_csv))
+        assert (code, out, err) == (2, "", "error: IQR multiplier must be finite and >= 0\n")
+        assert not out_csv.exists()
 
     def test_unknown_strategy(self, capsys, fixture_csv):
         code, _, err = run(capsys, "clean", str(fixture_csv), "--impute", "Age=bogus")
@@ -337,6 +357,13 @@ class TestTimeseriesCommand:
         assert "period" in err
 
 
+    @pytest.mark.parametrize("rel_tol", ["nan", "-1"])
+    def test_stationarity_refuses_nan_or_negative_tolerance(self, capsys, fixture_csv, rel_tol):
+        code, out, err = run(capsys, "timeseries", str(fixture_csv), "--column", "Balance",
+                             "--op", "stationarity", "--rel-tol", rel_tol)
+        assert (code, out, err) == (2, "", "error: rel_tol must be >= 0\n")
+
+
 class TestPlotCommand:
     @pytest.mark.parametrize(
         "argv",
@@ -363,6 +390,36 @@ class TestPlotCommand:
         assert code == 2
         assert err == "error: bin count must be >= 1\n"
         assert not out_svg.exists()
+
+    @pytest.mark.parametrize("csv", ["churn_fixture.csv", "churn_fixture_blanks.csv"])
+    def test_box_draws_the_outlier_report(self, capsys, tmp_path, csv):
+        # markers and whisker ends come from the report describe --outliers prints
+        src = ROOT / "data" / csv
+        counts = {}
+        for c in table.read_csv(src).columns:
+            if c.kind is not table.Kind.NUMERIC:
+                continue
+            out_svg = tmp_path / f"{c.name}.svg"
+            assert run(capsys, "plot", str(src), "--kind", "box", "--column", c.name, "--out", str(out_svg))[0] == 0
+            report = json.loads(run(capsys, "describe", str(src), "--outliers", c.name)[1])
+            summary = json.loads(run(capsys, "describe", str(src), "--column", c.name)[1])
+            root = ElementTree.parse(out_svg).getroot()
+            circles = [e for e in root.iter(f"{SVG}circle") if e.get("class") == "outlier"]
+            counts[c.name] = len(circles)
+            assert len(circles) == len(report["outlier_row_indices"])
+            lo, hi = summary["min"], summary["max"]
+            pad = 0.05 * (hi - lo) if hi > lo else 0.5
+
+            def pixel(v):
+                return 540 - (v - lo + pad) / (hi - lo + 2 * pad) * 480
+
+            ends = [float(e.get("y1")) for e in root.iter(f"{SVG}line") if e.get("x1") == "360"]
+            bounds = report["bounds"]
+            expected = [pixel(max(lo, bounds["lower"])), pixel(min(hi, bounds["upper"]))]
+            assert ends == pytest.approx(expected, abs=1e-3)
+        assert len(counts) == 8
+        if csv == "churn_fixture.csv":
+            assert (counts["CreditScore"], counts["Age"], counts["NumOfProducts"]) == (1, 1, 4)
 
     def test_scatter_needs_axes(self, capsys, fixture_csv, tmp_path):
         code, _, err = run(capsys, "plot", str(fixture_csv), "--kind", "scatter",

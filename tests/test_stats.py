@@ -253,6 +253,11 @@ class TestHistogram:
         assert h.edges[-1] >= 2.5
         assert sum(h.counts) == 3
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+    def test_width_must_be_finite_and_positive(self, width):
+        with pytest.raises(ValueError, match="bin width must be finite and > 0"):
+            BinWidth(width)
+
     def test_constant_column_degenerate(self):
         h = histogram(col([4, 4, 4]))
         assert h.edges == (4.0, 4.0)

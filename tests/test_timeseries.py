@@ -222,6 +222,11 @@ class TestStationarity:
         with pytest.raises(ValueError, match="too short"):
             stationarity_check(series([1, 2, 3]), segments=4)
 
+    @pytest.mark.parametrize("rel_tol", [math.nan, -1.0])
+    def test_nan_or_negative_tolerance_refused(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol must be >= 0"):
+            stationarity_check(series([float(t) for t in range(40)]), rel_tol=rel_tol)
+
     def test_remainder_goes_to_last_segment(self):
         result = stationarity_check(series(list(range(11))), segments=4)
         assert len(result.segment_means) == 4

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from edakit.assoc import CorrMethod, CorrelationMatrix, correlation_matrix
-from edakit.stats import BinCount, Edges, Histogram, histogram, summarize
+from edakit.stats import BinCount, Edges, Histogram, histogram
 from edakit.table import FreqRow, FrequencyTable, Table, numeric_column, value_counts, categorical_column
 from edakit.viz import (
     diverging_color,
@@ -65,21 +65,19 @@ class TestHistogramPlot:
 
 
 class TestBoxPlot:
-    def stats(self):
-        return summarize(numeric_column("v", [1, 2, 3, 4, 100]))
+    def column(self):
+        return numeric_column("v", [1, 2, 3, 4, 100])
 
     def test_outlier_marker(self):
-        doc = plot_box(self.stats(), points_beyond=[100.0])
+        doc = plot_box(self.column())
         assert len(elements_with_class(doc, "outlier", tag="circle")) == 1
 
     def test_no_outliers_no_markers(self):
-        s = summarize(numeric_column("v", [1, 2, 3, 4]))
-        doc = plot_box(s)
+        doc = plot_box(numeric_column("v", [1, 2, 3, 4]))
         assert elements_with_class(doc, "outlier", tag="circle") == []
 
     def test_median_centered_for_symmetric_data(self):
-        s = summarize(numeric_column("v", [1, 2, 3, 4, 5]))
-        doc = plot_box(s)
+        doc = plot_box(numeric_column("v", [1, 2, 3, 4, 5]))
         box = elements_with_class(doc, "box")[0]
         top = float(box.get("y"))
         mid = top + float(box.get("height")) / 2
@@ -90,7 +88,11 @@ class TestBoxPlot:
         assert abs(float(median_line.get("y1")) - mid) < 1e-6
 
     def test_well_formed(self):
-        parse(plot_box(self.stats(), points_beyond=[100.0]))
+        parse(plot_box(self.column()))
+
+    def test_three_values_refused_as_by_the_iqr_report(self):
+        with pytest.raises(ValueError, match=r"column 'v': IQR method needs >= 4 values"):
+            plot_box(numeric_column("v", [1, 2, 3]))
 
 
 class TestBarPlot:
@@ -196,7 +198,7 @@ class TestDocumentProperties:
             plot_bar(FrequencyTable((FreqRow("a", 2, 0.5), FreqRow("b", 2, 0.5))), "b" + suffix),
             plot_scatter(x, y, "s" + suffix),
             plot_heatmap(self_matrix(), "m" + suffix),
-            plot_box(summarize(numeric_column("v", [1, 2, 3, 9])), title="bx" + suffix),
+            plot_box(numeric_column("v", [1, 2, 3, 9]), title="bx" + suffix),
         ]
 
     def test_all_parse_as_xml(self):
