@@ -410,9 +410,10 @@ class TestPlotCommand:
             lo, hi = summary["min"], summary["max"]
             pad = 0.05 * (hi - lo) if hi > lo else 0.5
 
-            def pixel(v):
+            def pixel(v):  # the padded value range onto the 480 px plot area, whose bottom is y = 540
                 return 540 - (v - lo + pad) / (hi - lo + 2 * pad) * 480
 
+            # the whisker-end caps span x 360..440, lower cap first
             ends = [float(e.get("y1")) for e in root.iter(f"{SVG}line") if e.get("x1") == "360"]
             bounds = report["bounds"]
             expected = [pixel(max(lo, bounds["lower"])), pixel(min(hi, bounds["upper"]))]
