@@ -157,8 +157,11 @@ def cmd_clean(args) -> int:
         t = t.replace_column(cleanse.impute(t.column(col), strategy, context=t))
     for spec in args.clip_outliers or ():
         col, _, k = spec.partition(":")
-        method = cleanse.Iqr(float(k)) if k else cleanse.Iqr()
-        rep = cleanse.detect_outliers(t.column(col), method)
+        try:
+            k = float(k) if k else cleanse.Iqr.k
+        except ValueError:
+            raise ValueError(f"bad --clip-outliers {spec!r}; expected COL[:K] with K a number") from None
+        rep = cleanse.detect_outliers(t.column(col), cleanse.Iqr(k))
         t = t.replace_column(cleanse.handle_outliers(t.column(col), rep, cleanse.OutlierAction.CLIP))
     for spec in args.encode or ():
         col, _, kind = spec.partition("=")

@@ -233,15 +233,19 @@ def plot_box(c: Column, title: str = "") -> SvgDoc:
 
     Draws ``summarize(c)`` with ``detect_outliers(c, Iqr())``, the report
     ``eda describe --outliers`` prints, so it needs >= 4 values. Whiskers
-    run to the min and max clamped to the report's bounds; the markers are
-    the column's values at its outlier rows, in row order.
+    run to the most extreme values inside the report's bounds, as Tukey
+    drew them; the markers are the column's values at its outlier rows, in
+    row order.
     """
     stats = summarize(c)
     rep = detect_outliers(c, Iqr())
     cv = _Canvas(title)
-    w_lo = max(stats.min, rep.bounds[0])
-    w_hi = min(stats.max, rep.bounds[1])
-    beyond = numeric_with_mask(c)[0][list(rep.outlier_row_indices)]
+    values, present = numeric_with_mask(c)
+    outliers = list(rep.outlier_row_indices)
+    inside = present.copy()
+    inside[outliers] = False  # values between q1 and q3 lie inside the bounds, so some remain
+    w_lo, w_hi = float(values[inside].min()), float(values[inside].max())
+    beyond = values[outliers]
     pad = 0.05 * stats.range if stats.range > 0 else 0.5
     sy = _scale(stats.min - pad, stats.max + pad, *_Y_AXIS)
     cx = WIDTH / 2

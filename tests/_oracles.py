@@ -419,3 +419,79 @@ def o_decompose_additive(values, period):
         None if trend[t] is None else float(x[t]) - trend[t] - seasonal[t] for t in range(n)
     )
     return tuple(trend), seasonal, residual
+
+
+# The per-row fixture builder and cell blanker that block draws replaced
+# (scripts/make_fixture.py), kept as they were apart from taking their
+# settings as arguments: one scalar SplitMix64 call per value, in stream order.
+
+
+def _o_gauss(rng, mean, std):
+    total = 0.0
+    for _ in range(12):  # in draw order, as Python 3.11's sum() adds; 3.12's compensates
+        total += rng.random()
+    return mean + std * (total - 6.0)
+
+
+def o_build_fixture(n, seed, surnames):
+    from edakit.rng import SplitMix64
+    from edakit.table import Table, boolean_column, categorical_column, numeric_column
+
+    rng = SplitMix64(seed)
+    row_numbers = [float(i + 1) for i in range(n)]
+    customer_ids = [float(15600000 + rng.randint(1_000_000)) for _ in range(n)]
+    surname = [surnames[rng.randint(len(surnames))] for _ in range(n)]
+
+    credit = [min(850.0, max(350.0, round(_o_gauss(rng, 650, 96)))) for _ in range(n)]
+    credit[rng.randint(n)] = 850.0
+
+    geo_labels = ("France", "Germany", "Spain")
+    geography = [geo_labels[rng.choice_weighted([0.50, 0.25, 0.25])] for _ in range(n)]
+    gender = ["Male" if rng.random() < 0.55 else "Female" for _ in range(n)]
+    age = [float(max(18, round(_o_gauss(rng, 39, 10)))) for _ in range(n)]
+    tenure = [float(rng.randint(11)) for _ in range(n)]
+    balance = [
+        0.0 if rng.random() < 0.3 else round(20000 + 180000 * rng.random(), 2)
+        for _ in range(n)
+    ]
+    products = [float(1 + rng.choice_weighted([0.45, 0.45, 0.07, 0.03])) for _ in range(n)]
+    has_card = [1 if rng.random() < 0.71 else 0 for _ in range(n)]
+    active = [1 if rng.random() < 0.51 else 0 for _ in range(n)]
+    salary = [round(1000 + 198000 * rng.random(), 2) for _ in range(n)]
+    exited = [1 if rng.random() < 0.20 else 0 for _ in range(n)]
+
+    columns = (
+        numeric_column("RowNumber", row_numbers),
+        numeric_column("CustomerId", customer_ids),
+        categorical_column("Surname", surname),
+        numeric_column("CreditScore", credit),
+        categorical_column("Geography", geography),
+        categorical_column("Gender", gender),
+        numeric_column("Age", age),
+        numeric_column("Tenure", tenure),
+        numeric_column("Balance", balance),
+        numeric_column("NumOfProducts", products),
+        boolean_column("HasCrCard", has_card),
+        boolean_column("IsActiveMember", active),
+        numeric_column("EstimatedSalary", salary),
+        boolean_column("Exited", exited),
+    )
+    return Table("churn_fixture", columns, n)
+
+
+def o_blank_cells(t, share, seed, blank_columns):
+    from edakit.rng import SplitMix64
+    from edakit.table import Kind, boolean_column, categorical_column, numeric_column
+
+    build = {Kind.NUMERIC: numeric_column, Kind.CATEGORICAL: categorical_column,
+             Kind.BOOLEAN: boolean_column}
+    rng = SplitMix64(seed)
+    for name in blank_columns:
+        c = t.column(name)
+        age = t.column("Age").values
+        cells = [
+            None if rng.random() < share and not (name == "Balance" and age[i] is None) else v
+            for i, v in enumerate(c.values)
+        ]
+        t = t.replace_column(build[c.kind](name, cells))
+    return t

@@ -143,6 +143,14 @@ class TestClean:
         assert (code, out, err) == (2, "", "error: IQR multiplier must be finite and >= 0\n")
         assert not out_csv.exists()
 
+    def test_clip_multiplier_not_a_number_exit_2(self, capsys, fixture_csv, tmp_path):
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run(capsys, "clean", str(fixture_csv), "--clip-outliers", "Age:abc",
+                             "--out", str(out_csv))
+        assert (code, out) == (2, "")
+        assert err == "error: bad --clip-outliers 'Age:abc'; expected COL[:K] with K a number\n"
+        assert not out_csv.exists()
+
     def test_unknown_strategy(self, capsys, fixture_csv):
         code, _, err = run(capsys, "clean", str(fixture_csv), "--impute", "Age=bogus")
         assert code == 2
@@ -393,7 +401,8 @@ class TestPlotCommand:
 
     @pytest.mark.parametrize("csv", ["churn_fixture.csv", "churn_fixture_blanks.csv"])
     def test_box_draws_the_outlier_report(self, capsys, tmp_path, csv):
-        # markers and whisker ends come from the report describe --outliers prints
+        # markers come from the report describe --outliers prints, and whiskers
+        # end at the most extreme values inside its bounds
         src = ROOT / "data" / csv
         counts = {}
         for c in table.read_csv(src).columns:
@@ -415,8 +424,10 @@ class TestPlotCommand:
 
             # the whisker-end caps span x 360..440, lower cap first
             ends = [float(e.get("y1")) for e in root.iter(f"{SVG}line") if e.get("x1") == "360"]
-            bounds = report["bounds"]
-            expected = [pixel(max(lo, bounds["lower"])), pixel(min(hi, bounds["upper"]))]
+            outliers = set(report["outlier_row_indices"])
+            inside = [v for i, v in enumerate(c.values) if v is not None and i not in outliers]
+            assert report["bounds"]["lower"] <= min(inside) <= max(inside) <= report["bounds"]["upper"]
+            expected = [pixel(min(inside)), pixel(max(inside))]
             assert ends == pytest.approx(expected, abs=1e-3)
         assert len(counts) == 8
         if csv == "churn_fixture.csv":

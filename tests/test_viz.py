@@ -5,7 +5,7 @@ import pytest
 
 from edakit.assoc import CorrMethod, CorrelationMatrix, correlation_matrix
 from edakit.stats import BinCount, Edges, Histogram, histogram
-from edakit.table import FreqRow, FrequencyTable, Table, numeric_column, value_counts, categorical_column
+from edakit.table import FreqRow, FrequencyTable, Table, numeric_column, read_csv, value_counts, categorical_column
 from edakit.viz import (
     diverging_color,
     plot_bar,
@@ -89,6 +89,23 @@ class TestBoxPlot:
 
     def test_well_formed(self):
         parse(plot_box(self.column()))
+
+    @pytest.mark.parametrize("name,lo,hi,ends", [
+        # the lower fence is 354.375, below the lowest in-fence score
+        ("CreditScore", 350.0, 850.0, (434.0, 850.0)),
+        # the upper fence is 3.5, above the highest in-fence count
+        ("NumOfProducts", 1.0, 4.0, (1.0, 3.0)),
+    ])
+    def test_whiskers_end_at_the_extreme_values_inside_the_fences(self, fixture_csv, name, lo, hi, ends):
+        doc = plot_box(read_csv(fixture_csv).column(name))
+        pad = 0.05 * (hi - lo)
+
+        def pixel(v):  # the padded value range onto the 480 px plot area, whose bottom is y = 540
+            return 540 - (v - lo + pad) / (hi - lo + 2 * pad) * 480
+
+        # the whisker-end caps span x 360..440, lower cap first
+        caps = [float(e.get("y1")) for e in parse(doc).iter(f"{SVG_NS}line") if e.get("x1") == "360"]
+        assert caps == pytest.approx([pixel(v) for v in ends], abs=1e-3)
 
     def test_three_values_refused_as_by_the_iqr_report(self):
         with pytest.raises(ValueError, match=r"column 'v': IQR method needs >= 4 values"):
